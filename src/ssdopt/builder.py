@@ -15,13 +15,10 @@ column-position pair, so rebuilding with the same inputs is byte-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import ColumnLabel, SignMatrix, interaction_column, verify_oa_strength2
+from .core import ColumnLabel, SignMatrix, verify_oa_strength2
 from .spectral import d_parameter
 
 FULL = "full"
@@ -89,24 +86,17 @@ def _require_start(start: SignMatrix, deficits: tuple[int, ...], what: str) -> N
         raise ValueError("starting array is not an orthogonal array of strength 2")
 
 
-def _interaction_block(
-    start: SignMatrix, pairs: list[tuple[int, int]]
-) -> tuple[np.ndarray, list[ColumnLabel]]:
-    columns = []
-    labels = []
-    for u, v in pairs:
-        vec, label = interaction_column(start, u, v)
-        columns.append(vec)
-        labels.append(label)
-    block = np.column_stack(columns) if columns else np.empty((start.rows, 0), np.int8)
-    return block, labels
+def _select(start: SignMatrix, positions: list[int]) -> SignMatrix:
+    """Columns of the start's full augmentation (built once per start), by position."""
+    full = start.augmented
+    return SignMatrix(
+        full.entries[:, positions], tuple(full.labels[p] for p in positions)
+    )
 
 
-def _full_columns(start: SignMatrix) -> tuple[np.ndarray, list[ColumnLabel]]:
-    pairs = list(itertools.combinations(range(start.cols), 2))
-    block, labels = _interaction_block(start, pairs)
-    entries = np.hstack([start.entries, block])
-    return entries, list(start.labels) + labels
+def _pair_position(q: int, u: int, v: int) -> int:
+    """Position of the interaction of columns u < v in the full augmentation."""
+    return q + u * (2 * q - u - 1) // 2 + (v - u - 1)
 
 
 def build_full(start: SignMatrix) -> SsdBuild:
@@ -115,9 +105,7 @@ def build_full(start: SignMatrix) -> SsdBuild:
     q = start.cols
     if start.rows > q + math.comb(q, 2):
         raise ValueError("design would not be supersaturated: n > q + C(q, 2)")
-    entries, labels = _full_columns(start)
-    design = SignMatrix(entries, tuple(labels))
-    return SsdBuild(design, start, SsdFamily.full())
+    return SsdBuild(start.augmented, start, SsdFamily.full())
 
 
 def build_minus_one(
@@ -130,13 +118,12 @@ def build_minus_one(
     deletion at q = n - 2 it determines the d recorded on the build.
     """
     _require_start(start, (1, 2), "minus-one augmentation")
-    entries, labels = _full_columns(start)
+    full = start.augmented
     try:
-        pos = labels.index(delete)
+        pos = full.label_position(delete)
     except ValueError:
         raise ValueError(f"{delete} is not a column of the full augmentation") from None
-    keep = [c for c in range(len(labels)) if c != pos]
-    design = SignMatrix(entries[:, keep], tuple(labels[c] for c in keep))
+    design = _select(start, [c for c in range(full.cols) if c != pos])
     d = None
     if (
         delete.is_interaction
@@ -153,9 +140,7 @@ def build_minus_one(
 def build_interactions_only(start: SignMatrix) -> SsdBuild:
     """Keep only the C(q, 2) two-column interactions of the starting array."""
     _require_start(start, (1, 2, 3), "interactions-only construction")
-    pairs = list(itertools.combinations(range(start.cols), 2))
-    block, labels = _interaction_block(start, pairs)
-    design = SignMatrix(block, tuple(labels))
+    design = _select(start, list(range(start.cols, start.augmented.cols)))
     return SsdBuild(design, start, SsdFamily.interactions_only())
 
 
@@ -170,12 +155,13 @@ def build_single_parent(
     _require_start(start, (1, 2, 3), "single-parent augmentation")
     if not 0 <= parent < start.cols:
         raise ValueError(f"parent index {parent} out of range")
-    pairs = sorted(
-        (min(parent, v), max(parent, v)) for v in range(start.cols) if v != parent
-    )
-    block, labels = _interaction_block(start, pairs)
-    entries = np.hstack([start.entries, block])
-    design = SignMatrix(entries, tuple(start.labels) + tuple(labels))
+    q = start.cols
+    interactions = [
+        _pair_position(q, min(parent, v), max(parent, v))
+        for v in range(q)
+        if v != parent
+    ]
+    design = _select(start, list(range(q)) + sorted(interactions))
     d = None
     if start.rows - start.cols == 3 and removed is not None and removed.cols == 2:
         d = d_parameter(removed.column(0), removed.column(1), start.column(parent))

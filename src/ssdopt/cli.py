@@ -1,6 +1,8 @@
 """Command-line surface: generate, evaluate, verify-lemmas, verify-theorems.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+3 certification failure (the exact E(s^2) routes of a verdict disagree, or
+the value falls below the lower bound).
 All commands are deterministic; identical invocations produce identical bytes.
 """
 
@@ -214,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: certification failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ point anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -109,17 +110,26 @@ class SignMatrix:
     def column(self, pos: int) -> np.ndarray:
         return self.entries[:, pos]
 
+    @cached_property
+    def _positions(self) -> dict[ColumnLabel, int]:
+        return {label: pos for pos, label in enumerate(self.labels)}
+
     def label_position(self, label: ColumnLabel) -> int:
         """Position of the column carrying ``label``; ValueError if absent."""
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise ValueError(f"no column labeled {label}") from None
 
     def gram(self) -> np.ndarray:
         """X^T X in exact 64-bit integer arithmetic."""
         wide = self.entries.astype(np.int64)
         return wide.T @ wide
+
+    def row_gram(self) -> np.ndarray:
+        """X X^T in exact 64-bit integer arithmetic: the n x n run inner products."""
+        wide = self.entries.astype(np.int64)
+        return wide @ wide.T
 
     @cached_property
     def neg_masks(self) -> tuple[int, ...]:
@@ -128,13 +138,53 @@ class SignMatrix:
         The entrywise product of a column subset then corresponds to the XOR
         of their masks, which makes exhaustive J enumeration cheap.
         """
-        out = []
-        for c in range(self.cols):
-            mask = 0
-            for r in np.nonzero(self.entries[:, c] < 0)[0]:
-                mask |= 1 << int(r)
-            out.append(mask)
-        return tuple(out)
+        packed = np.packbits(self.entries < 0, axis=0, bitorder="little")
+        return tuple(int.from_bytes(col.tobytes(), "little") for col in packed.T)
+
+    @cached_property
+    def j_squared_sums(self) -> dict[int, int]:
+        """Memo of :func:`ssdopt.spectral.sum_j_squared` by order s.
+
+        The entries never change, so each order is enumerated once per instance.
+        """
+        return {}
+
+    @cached_property
+    def is_oa_strength2(self) -> bool:
+        """The strength-2 flag of :func:`verify_oa_strength2`, computed once."""
+        n, q = self.rows, self.cols
+        if q < 2:
+            return True
+        if n % 4 != 0:
+            return False
+        # Pair (i, j) has (n + a*s_i + b*s_j + a*b*g_ij) / 4 runs with signs
+        # (a, b), from the column sums s and the Gram g; each must be n / 4.
+        left, right = np.triu_indices(q, k=1)
+        sums = self.entries.sum(axis=0, dtype=np.int64)
+        si, sj, g = sums[left], sums[right], self.gram()[left, right]
+        return all(
+            bool(np.all(n + a * si + b * sj + a * b * g == n))
+            for a in (1, -1)
+            for b in (1, -1)
+        )
+
+    @cached_property
+    def augmented(self) -> "SignMatrix":
+        """The columns followed by all C(q, 2) two-column interactions.
+
+        Interactions are ordered lexicographically by column-position pair and
+        labeled as :func:`interaction_column` labels them. Built once per
+        instance; every augmented family is a column selection from it.
+        """
+        if self.cols > 1 and any(label.is_interaction for label in self.labels):
+            raise ValueError("interactions of interaction columns are not supported")
+        left, right = np.triu_indices(self.cols, k=1)
+        block = self.entries[:, left] * self.entries[:, right]
+        labels = tuple(
+            ColumnLabel.interaction(self.labels[u].i, self.labels[v].i)
+            for u, v in zip(left.tolist(), right.tolist())
+        )
+        return SignMatrix(np.hstack([self.entries, block]), self.labels + labels)
 
     def same_entries(self, other: "SignMatrix") -> bool:
         return self.entries.shape == other.entries.shape and bool(
@@ -339,43 +389,38 @@ def interaction_column(
 
 
 def verify_oa_strength2(design: SignMatrix) -> bool:
-    """True iff every ordered column pair hits each sign combination n/4 times.
+    """True iff every column pair hits each sign combination n/4 times.
 
-    This is the literal strength-2 condition, counted exhaustively; any
-    violation (including an unbalanced column) makes some pair fail.
+    This is the literal strength-2 condition: the four cell counts of every
+    pair come from the column sums and the q x q Gram matrix, and any
+    violation (including an unbalanced column) makes some pair fail. The
+    flag is computed once per design instance.
     """
-    n = design.rows
-    if design.cols < 2:
-        return True
-    if n % 4 != 0:
-        return False
-    target = n // 4
-    e = design.entries
-    for i in range(design.cols):
-        plus_i = e[:, i] == 1
-        for j in range(i + 1, design.cols):
-            plus_j = e[:, j] == 1
-            pp = int(np.count_nonzero(plus_i & plus_j))
-            pm = int(np.count_nonzero(plus_i & ~plus_j))
-            mp = int(np.count_nonzero(~plus_i & plus_j))
-            mm = n - pp - pm - mp
-            if pp != target or pm != target or mp != target or mm != target:
-                return False
-    return True
+    return design.is_oa_strength2
 
 
 def aliasing_report(design: SignMatrix) -> list[AliasedPair]:
-    """All unordered column pairs that are equal up to sign.
+    """All unordered column pairs that are equal up to sign, in (i, j) order.
 
+    Columns are made sign-canonical (row 0 set to +1) and grouped by content
+    in O(nm); two columns alias exactly when their canonical forms coincide,
+    and their inner product is then n times the product of their row-0 signs.
     An empty list certifies that every pair is only partially aliased.
     """
-    g = design.gram()
-    n = design.rows
-    hits = np.triu(np.abs(g) == n, k=1)
-    report = []
-    for i, j in zip(*np.nonzero(hits)):
-        i, j = int(i), int(j)
-        report.append(
-            AliasedPair(i, j, design.labels[i], design.labels[j], int(g[i, j]))
-        )
-    return report
+    n, m = design.rows, design.cols
+    signs = design.entries[0].tolist()
+    # Bit r of a column's key is set where its canonical form has -1 in row r.
+    packed = np.packbits(design.entries != design.entries[0], axis=0)
+    keys = np.ascontiguousarray(packed.T).view(f"V{packed.shape[0]}").ravel().tolist()
+    if len(set(keys)) == m:
+        return []
+    groups: dict[bytes, list[int]] = {}
+    for c, key in enumerate(keys):
+        groups.setdefault(key, []).append(c)
+    pairs = sorted(
+        pair for group in groups.values() for pair in itertools.combinations(group, 2)
+    )
+    return [
+        AliasedPair(i, j, design.labels[i], design.labels[j], n * signs[i] * signs[j])
+        for i, j in pairs
+    ]

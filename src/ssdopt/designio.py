@@ -2,8 +2,9 @@
 
 The CSV format is bit-exact: one design row per line, entries "+1" or "-1"
 comma-separated, with an optional first header line of column labels such as
-"c3" or "c1*c2". Readers accept files with or without the header; writers
-always emit it. Tokens other than "+1"/"-1" in data rows are rejected with
+"c3" or "c1*c2". Readers accept files with or without the header (the first
+line is a header when none of its tokens is "+1" or "-1"); writers always
+emit it. Tokens other than "+1"/"-1" in data rows are rejected with
 the offending line and column.
 
 Rationals render in JSON as {"num", "den", "decimal"} where "decimal" is a
@@ -67,7 +68,9 @@ def parse_design_csv(text: str) -> SignMatrix:
     if not raw_lines:
         raise CsvFormatError("empty design file")
     first_tokens = [t.strip() for t in raw_lines[0].split(",")]
-    has_header = any(t not in ("+1", "-1") for t in first_tokens)
+    # A line holding any "+1"/"-1" token is a data row, so a bad entry on
+    # the first line is reported as an entry, not as a column label.
+    has_header = not any(t in ("+1", "-1") for t in first_tokens)
     labels = _parse_labels(first_tokens) if has_header else None
     data_lines = raw_lines[1:] if has_header else raw_lines
     if not data_lines:

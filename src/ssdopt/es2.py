@@ -1,8 +1,9 @@
 """Exact E(s^2) evaluation, the sharp lower bound, and optimality verdicts.
 
 E(s^2) is the average of the squared off-diagonal entries of X^T X. It is
-computed two ways that must agree exactly: directly from column inner
-products, and through the J-characteristics of the starting array (each
+computed two ways that must agree exactly: directly from the inner products
+(through the row Gram X X^T, whose squared entries total those of X^T X), and
+through the J-characteristics of the starting array (each
 nonzero J_3 and J_4 value appears six times in X^T X for a full
 augmentation, with family-specific corrections otherwise).
 
@@ -37,12 +38,16 @@ from .spectral import sum_j_squared, sum_j_squared_filtered
 
 
 def es2_direct(design: SignMatrix) -> Fraction:
-    """Average squared off-diagonal entry of X^T X, as an exact rational."""
-    m = design.cols
+    """Average squared off-diagonal entry of X^T X, as an exact rational.
+
+    Computed from the n x n row Gram: the squared entries of X^T X and of
+    X X^T have the same total, and the m diagonal entries of X^T X are n.
+    """
+    n, m = design.rows, design.cols
     if m < 2:
         raise ValueError("E(s^2) needs at least two columns")
-    g = design.gram()
-    off_diagonal_sq = int(np.sum(g * g)) - int(np.sum(np.diagonal(g) ** 2))
+    g = design.row_gram()
+    off_diagonal_sq = int(np.sum(g * g)) - m * n * n
     return Fraction(off_diagonal_sq, m * (m - 1))
 
 

@@ -62,9 +62,7 @@ def distance_distribution(design: SignMatrix) -> DistanceDistribution:
     with itself included at distance 0.
     """
     n, q = design.rows, design.cols
-    wide = design.entries.astype(np.int64)
-    gram_rows = wide @ wide.T
-    hamming = (q - gram_rows) // 2
+    hamming = (q - design.row_gram()) // 2
     counts = np.bincount(hamming.ravel(), minlength=q + 1)
     return DistanceDistribution(
         n, q, tuple(Fraction(int(c), n) for c in counts[: q + 1])
@@ -196,18 +194,23 @@ def _sum_over_extensions(masks: Sequence[int], base: int, n: int, k: int) -> int
 def sum_j_squared(design: SignMatrix, s: int) -> int:
     """Exhaustive sum of J_s(S)^2 over all C(q, s) column subsets.
 
-    Returns 0 when s exceeds the column count (no subsets exist).
+    Returns 0 when s exceeds the column count (no subsets exist). Each design
+    instance enumerates each order once; later calls reuse the sum.
     """
     if s < 1:
         raise ValueError(f"order s must be at least 1, got {s}")
     if s > design.cols:
         return 0
-    masks, n = design.neg_masks, design.rows
-    if s == 3:
-        return _sum3(masks, n)
-    if s == 4:
-        return _sum4(masks, n)
-    return _sum_over_extensions(masks, 0, n, s)
+    sums = design.j_squared_sums
+    if s not in sums:
+        masks, n = design.neg_masks, design.rows
+        if s == 3:
+            sums[s] = _sum3(masks, n)
+        elif s == 4:
+            sums[s] = _sum4(masks, n)
+        else:
+            sums[s] = _sum_over_extensions(masks, 0, n, s)
+    return sums[s]
 
 
 def sum_j_squared_filtered(

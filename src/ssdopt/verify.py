@@ -294,22 +294,20 @@ def verify_theorems(
         start, removed = drop_columns(saturated, list(range(q, n - 1)))
         context = f"q=n-{deficit}"
 
-        full_report = verdict(build_full(start))
+        full = build_full(start)
         _check_cell(
-            results, "theorem1", n, context, full_report,
+            results, "theorem1", n, context, verdict(full),
             es2_closed_form(SsdFamily.full(), n, q),
             expected_lower_bound("full", n, deficit),
             Fraction(0),
         )
 
         if deficit <= 2:
-            target = es2_closed_form(SsdFamily.full(), n, q)
-            labels = list(build_full(start).design.labels)
-            for delete in _capped(labels, cap):
+            for delete in _capped(full.design.labels, cap):
                 rep = verdict(build_minus_one(start, delete, removed))
                 _check_cell(
                     results, "theorem2", n, f"{context} delete={delete}", rep,
-                    target,
+                    es2_closed_form(SsdFamily.minus_one(delete), n, q),
                     expected_lower_bound("minus-one", n, deficit),
                     Fraction(0),
                 )

@@ -1,0 +1,65 @@
+"""Straightforward reference implementations the optimised routes are tested
+against: column-Gram E(s^2), the |X^T X| = n aliasing scan, the per-pair
+strength-2 count loop, the bit-by-bit negative masks, and the full
+augmentation rebuilt one interaction column at a time."""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+
+from ssdopt import AliasedPair, SignMatrix, interaction_column
+
+
+def es2_column_gram(design: SignMatrix) -> Fraction:
+    m = design.cols
+    g = design.gram()
+    off_diagonal_sq = int(np.sum(g * g)) - int(np.sum(np.diagonal(g) ** 2))
+    return Fraction(off_diagonal_sq, m * (m - 1))
+
+
+def aliasing_scan(design: SignMatrix) -> list[AliasedPair]:
+    g = design.gram()
+    hits = np.triu(np.abs(g) == design.rows, k=1)
+    return [
+        AliasedPair(int(i), int(j), design.labels[i], design.labels[j], int(g[i, j]))
+        for i, j in zip(*np.nonzero(hits))
+    ]
+
+
+def oa_strength2_loop(design: SignMatrix) -> bool:
+    n = design.rows
+    if design.cols < 2:
+        return True
+    if n % 4 != 0:
+        return False
+    target = n // 4
+    e = design.entries
+    for i, j in itertools.combinations(range(design.cols), 2):
+        plus_i, plus_j = e[:, i] == 1, e[:, j] == 1
+        pp = int(np.count_nonzero(plus_i & plus_j))
+        pm = int(np.count_nonzero(plus_i & ~plus_j))
+        mp = int(np.count_nonzero(~plus_i & plus_j))
+        mm = n - pp - pm - mp
+        if pp != target or pm != target or mp != target or mm != target:
+            return False
+    return True
+
+
+def neg_masks_loop(design: SignMatrix) -> tuple[int, ...]:
+    out = []
+    for c in range(design.cols):
+        mask = 0
+        for r in np.nonzero(design.entries[:, c] < 0)[0]:
+            mask |= 1 << int(r)
+        out.append(mask)
+    return tuple(out)
+
+
+def full_augmentation_rebuilt(start: SignMatrix) -> SignMatrix:
+    columns, labels = [start.entries], list(start.labels)
+    for u, v in itertools.combinations(range(start.cols), 2):
+        vec, label = interaction_column(start, u, v)
+        columns.append(vec[:, None])
+        labels.append(label)
+    return SignMatrix(np.hstack(columns), tuple(labels))

@@ -86,6 +86,13 @@ class TestOrderingAndDeterminism:
         pairs = [(lb.i, lb.j) for lb in tail]
         assert pairs == sorted(pairs)
 
+    def test_full_augmentation_is_built_once_per_start(self):
+        start, removed = start_with_removed(12, 1)
+        full = build_full(start).design
+        assert build_full(start).design is full
+        minus = build_minus_one(start, ColumnLabel.interaction(2, 5), removed).design
+        assert minus.cols == full.cols - 1
+
     def test_rebuild_is_byte_identical(self):
         first, removed1 = start_with_removed(12, 2)
         second, removed2 = start_with_removed(12, 2)
@@ -120,6 +127,12 @@ class TestPreconditions:
         start, _ = start_with_removed(12, 1)
         with pytest.raises(ValueError):
             build_minus_one(start, ColumnLabel.main(42))
+
+    def test_rejects_interaction_labeled_start(self):
+        start, _ = start_with_removed(12, 1)
+        labels = start.labels[:-1] + (ColumnLabel.interaction(1, 2),)
+        with pytest.raises(ValueError, match="interactions of interaction columns"):
+            build_full(SignMatrix(start.entries, labels))
 
     def test_single_parent_rejects_bad_index(self):
         start, _ = start_with_removed(12, 1)

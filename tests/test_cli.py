@@ -177,6 +177,25 @@ class TestVerifyCommands:
         ]
 
 
+class TestCertificationFailure:
+    def test_arithmetic_error_from_verdict_exits_3(self, tmp_path, capsys, monkeypatch):
+        import ssdopt.cli
+
+        def disagreeing_verdict(build):
+            raise ArithmeticError("inner-product and J-characteristic routes disagree")
+
+        monkeypatch.setattr(ssdopt.cli, "verdict", disagreeing_verdict)
+        code, stdout, stderr = run(
+            ["generate", "--n", "12", "--out", str(tmp_path / "d.csv")], capsys
+        )
+        assert code == 3
+        assert stdout == ""
+        assert stderr == (
+            "error: certification failed: "
+            "inner-product and J-characteristic routes disagree\n"
+        )
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

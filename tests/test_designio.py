@@ -76,6 +76,18 @@ class TestCsvErrors:
             parse_design_csv("c1,weird\n+1,-1\n")
         assert err.value.line == 1 and err.value.column == 2
 
+    def test_bad_entry_on_first_line_is_an_entry_error(self):
+        with pytest.raises(CsvFormatError) as err:
+            parse_design_csv("+1,-1,+x\n+1,+1,-1\n")
+        assert str(err.value) == (
+            "invalid entry '+x', expected \"+1\" or \"-1\" (line 1, column 3)"
+        )
+
+    def test_first_line_without_signs_is_a_header(self):
+        with pytest.raises(CsvFormatError) as err:
+            parse_design_csv("c1,c2,x3\n+1,-1,+1\n")
+        assert str(err.value) == "bad column label 'x3' (line 1, column 3)"
+
     def test_strict_tokens_only(self):
         for bad in ("1", "-1.0", "+ 1", ""):
             with pytest.raises(CsvFormatError):

@@ -1,0 +1,125 @@
+"""Property tests: the fast routes against the reference implementations in
+``_reference.py``, on random +-1 designs and on perturbed Hadamard designs.
+
+Run counts include ones that are not a multiple of 8 and ones above 64, and
+the designs carry planted duplicate and negated columns."""
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from ssdopt import (
+    SignMatrix,
+    aliasing_report,
+    build_full,
+    build_minus_one,
+    drop_columns,
+    es2_direct,
+    hadamard_design,
+    verify_oa_strength2,
+)
+
+from _reference import (
+    aliasing_scan,
+    es2_column_gram,
+    full_augmentation_rebuilt,
+    neg_masks_loop,
+    oa_strength2_loop,
+)
+
+HADAMARD_ORDERS = [4, 8, 12, 16, 20, 24, 32, 64]
+
+
+def _plant(draw, entries: np.ndarray) -> np.ndarray:
+    """Overwrite some columns with copies or negated copies of others."""
+    m = entries.shape[1]
+    plants = draw(
+        st.lists(
+            st.tuples(st.integers(0, m - 1), st.integers(0, m - 1), st.booleans()),
+            max_size=4,
+        )
+    )
+    for src, dst, negate in plants:
+        entries[:, dst] = -entries[:, src] if negate else entries[:, src]
+    return entries
+
+
+@st.composite
+def random_designs(draw, min_cols=1):
+    n = draw(st.one_of(st.integers(1, 64), st.integers(65, 140)))
+    m = draw(st.integers(min_cols, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, m))
+    return SignMatrix.with_main_labels(_plant(draw, entries))
+
+
+@st.composite
+def hadamard_variants(draw):
+    """A Hadamard design with rows permuted, columns negated and a column
+    subset kept: still strength 2 unless the draw plants or flips entries."""
+    design = hadamard_design(draw(st.sampled_from(HADAMARD_ORDERS)))
+    n, q = design.rows, design.cols
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = np.sort(rng.choice(q, size=draw(st.integers(1, q)), replace=False))
+    entries = design.entries[rng.permutation(n)][:, keep] * rng.choice(
+        np.array([-1, 1], dtype=np.int8), size=len(keep)
+    )
+    entries = _plant(draw, entries)
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, len(keep) - 1))
+        entries[r, c] = -entries[r, c]
+    return SignMatrix.with_main_labels(entries)
+
+
+designs = st.one_of(random_designs(), hadamard_variants())
+
+
+@given(random_designs(min_cols=2) | hadamard_variants().filter(lambda d: d.cols >= 2))
+def test_row_gram_es2_equals_column_gram(design):
+    assert es2_direct(design) == es2_column_gram(design)
+
+
+@given(designs)
+def test_hashed_aliasing_equals_gram_scan(design):
+    assert aliasing_report(design) == aliasing_scan(design)
+
+
+@given(designs)
+def test_vectorised_strength2_equals_pair_counts(design):
+    assert verify_oa_strength2(design) == oa_strength2_loop(design)
+
+
+@given(designs)
+@example(SignMatrix.with_main_labels(-np.ones((130, 3), dtype=np.int8)))
+def test_packed_neg_masks_equal_bit_loop(design):
+    assert design.neg_masks == neg_masks_loop(design)
+
+
+@st.composite
+def minus_one_cases(draw):
+    n = draw(st.sampled_from([8, 12, 16, 20, 24]))
+    saturated = hadamard_design(n)
+    deficit = draw(st.integers(1, 2))
+    dropped = draw(
+        st.lists(
+            st.integers(0, n - 2),
+            min_size=deficit - 1,
+            max_size=deficit - 1,
+            unique=True,
+        )
+    )
+    start, removed = drop_columns(saturated, dropped)
+    full = full_augmentation_rebuilt(start)
+    delete = draw(st.sampled_from(full.labels))
+    return start, removed, full, delete
+
+
+@given(minus_one_cases())
+def test_minus_one_from_cached_block_equals_rebuild(case):
+    start, removed, full, delete = case
+    cached = build_full(start).design
+    assert cached.same_entries(full) and cached.labels == full.labels
+    build = build_minus_one(start, delete, removed)
+    pos = full.labels.index(delete)
+    assert np.array_equal(build.design.entries, np.delete(full.entries, pos, axis=1))
+    assert build.design.labels == full.labels[:pos] + full.labels[pos + 1 :]

@@ -191,6 +191,22 @@ class TestSumJSquared:
         d = d_parameter(removed.column(0), removed.column(1), removed.column(2))
         assert sum_j_squared(child, 3) == 768 + 16 * d * (12 - 4 * d)
 
+    def test_each_instance_enumerates_an_order_once(self, monkeypatch):
+        import ssdopt.spectral
+
+        calls = []
+        real_sum3 = ssdopt.spectral._sum3
+
+        def counting_sum3(masks, n):
+            calls.append(n)
+            return real_sum3(masks, n)
+
+        monkeypatch.setattr(ssdopt.spectral, "_sum3", counting_sum3)
+        design = hadamard_design(12)
+        assert sum_j_squared(design, 3) == sum_j_squared(design, 3) == 2640
+        assert sum_j_squared(hadamard_design(12), 3) == 2640
+        assert calls == [12, 12]
+
     def test_order_above_columns_is_zero(self):
         design, _ = drop_columns(hadamard_design(12), [0])
         assert sum_j_squared(design, 11) == 0
