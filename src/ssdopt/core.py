@@ -138,8 +138,21 @@ class SignMatrix:
         The entrywise product of a column subset then corresponds to the XOR
         of their masks, which makes exhaustive J enumeration cheap.
         """
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in self.neg_words)
+
+    @cached_property
+    def neg_words(self) -> np.ndarray:
+        """The :attr:`neg_masks` bits as a read-only (q, ceil(n/64)) uint64 array.
+
+        Row c holds column c's -1 bits, zero-padded to whole 64-bit words, so
+        the exhaustive J kernel XORs and popcounts rows for any run count.
+        """
         packed = np.packbits(self.entries < 0, axis=0, bitorder="little")
-        return tuple(int.from_bytes(col.tobytes(), "little") for col in packed.T)
+        padded = np.zeros((8 * -(-self.rows // 64), self.cols), dtype=np.uint8)
+        padded[: packed.shape[0]] = packed
+        words = np.ascontiguousarray(padded.T).view(np.uint64)
+        words.flags.writeable = False
+        return words
 
     @cached_property
     def j_squared_sums(self) -> dict[int, int]:
@@ -360,7 +373,8 @@ def drop_columns(
         if not 0 <= i < design.cols:
             raise ValueError(f"column index {i} out of range for {design.cols} columns")
     dropped = sorted(idx)
-    keep = [c for c in range(design.cols) if c not in set(dropped)]
+    dropped_set = set(dropped)
+    keep = [c for c in range(design.cols) if c not in dropped_set]
     kept = SignMatrix(design.entries[:, keep], tuple(design.labels[c] for c in keep))
     removed = SignMatrix(
         design.entries[:, dropped], tuple(design.labels[c] for c in dropped)

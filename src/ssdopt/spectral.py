@@ -5,14 +5,21 @@ enumeration of J values over column subsets (the oracle of record) and the
 Krawtchouk transform of the distance distribution. Their agreement, order by
 order, is the identity n^2 * A_s = sum of J_s^2 over all s-subsets.
 
+Every squared-J sum, plain or filtered, runs through one kernel that visits
+every subset once: it XORs the columns' -1 bits, packed in as many uint64
+words as n needs, in fixed-size chunks, and popcounts the result.
+
 J sums are exact integers; distributions and wordlength patterns are exact
 rationals.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -126,68 +133,71 @@ def j_characteristic(design: SignMatrix, cols: Iterable[int]) -> int:
     return design.rows - 2 * acc.bit_count()
 
 
-def _sum3(masks: Sequence[int], n: int) -> int:
+#: Subsets per numpy pass; it bounds the size of the kernel's temporary arrays.
+_CHUNK = 1 << 13
+
+
+def _lex_subsets(r: int, b: int) -> np.ndarray:
+    """All b-subsets of range(r), one per row, in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(r), b))
+    return np.fromiter(flat, dtype=np.intp).reshape(math.comb(r, b), b)
+
+
+def _build_plan(r: int, k: int) -> tuple[np.ndarray, ...]:
+    """(prefixes, suffixes, bounds, shift): every k-subset of range(r) as a
+    prefix of k // 2 indices followed by a suffix of the rest.
+
+    Prefixes are grouped by largest index and suffixes are lexicographic, so
+    each prefix pairs with a tail of the suffix table. Prefix i owns subsets
+    bounds[i] .. bounds[i+1]-1, and subset g pairs with suffix g + shift[i].
+    """
+    a, b = k // 2, k - k // 2
+    # Lexicographic order on reversed indices groups prefixes by largest index.
+    prefixes = r - 1 - _lex_subsets(r, a)
+    suffixes = _lex_subsets(r, b)
+    largest = prefixes[:, 0] if a else np.full(1, -1)
+    smallest = suffixes[:, 0] if b else np.full(1, r)
+    # at_least[t]: number of suffixes whose smallest index is t or more.
+    at_least = np.bincount(smallest, minlength=r + 1)[::-1].cumsum()[::-1]
+    bounds = np.concatenate([[0], at_least[largest + 1].cumsum()])
+    return prefixes, suffixes, bounds, len(suffixes) - bounds[1:]
+
+
+_small_plan = functools.lru_cache(maxsize=256)(_build_plan)
+
+
+@functools.lru_cache(maxsize=256)
+def _squares(n: int) -> np.ndarray:
+    """(n - 2c)^2 for c = 0..n: J^2 of a subset whose XOR has c bits set."""
+    return (n - 2 * np.arange(n + 1, dtype=np.int64)) ** 2
+
+
+def _sum_squared_j(words: np.ndarray, base: np.ndarray | int, n: int, k: int) -> int:
+    """Exhaustive sum of J^2 over every k-subset S of the rows of ``words``,
+    where J = n - 2 * popcount(base ^ XOR of the rows in S); 0 if k > rows.
+
+    Each subset's XOR is one prefix row XOR one suffix row, formed _CHUNK
+    subsets at a time. Plans of k <= 4 (halves of at most two indices) are
+    cached; larger ones are rebuilt per call. Nothing here writes to a plan.
+    """
+    plan = _small_plan if k <= 4 else _build_plan
+    prefixes, suffixes, bounds, shift = plan(words.shape[0], k)
+    prefix = np.bitwise_xor.reduce(words[prefixes], axis=1) ^ base
+    suffix = np.bitwise_xor.reduce(words[suffixes], axis=1)
+    subsets = int(bounds[-1])
     total = 0
-    q = len(masks)
-    for a in range(q - 2):
-        ma = masks[a]
-        for b in range(a + 1, q - 1):
-            mab = ma ^ masks[b]
-            for c in range(b + 1, q):
-                j = n - 2 * (mab ^ masks[c]).bit_count()
-                total += j * j
-    return total
-
-
-def _sum4(masks: Sequence[int], n: int) -> int:
-    total = 0
-    q = len(masks)
-    for a in range(q - 3):
-        ma = masks[a]
-        for b in range(a + 1, q - 2):
-            mab = ma ^ masks[b]
-            for c in range(b + 1, q - 1):
-                mabc = mab ^ masks[c]
-                for d in range(c + 1, q):
-                    j = n - 2 * (mabc ^ masks[d]).bit_count()
-                    total += j * j
-    return total
-
-
-def _sum_over_extensions(masks: Sequence[int], base: int, n: int, k: int) -> int:
-    """Sum of squared J over all k-subsets of ``masks`` XOR-ed onto ``base``."""
-    total = 0
-    q = len(masks)
-    if k == 0:
-        j = n - 2 * base.bit_count()
-        return j * j
-    if k == 1:
-        for m in masks:
-            j = n - 2 * (base ^ m).bit_count()
-            total += j * j
-        return total
-    if k == 2:
-        for a in range(q - 1):
-            mba = base ^ masks[a]
-            for b in range(a + 1, q):
-                j = n - 2 * (mba ^ masks[b]).bit_count()
-                total += j * j
-        return total
-    if k == 3:
-        for a in range(q - 2):
-            mba = base ^ masks[a]
-            for b in range(a + 1, q - 1):
-                mbab = mba ^ masks[b]
-                for c in range(b + 1, q):
-                    j = n - 2 * (mbab ^ masks[c]).bit_count()
-                    total += j * j
-        return total
-    for combo in itertools.combinations(masks, k):
-        acc = base
-        for m in combo:
-            acc ^= m
-        j = n - 2 * acc.bit_count()
-        total += j * j
+    for start in range(0, subsets, _CHUNK):
+        stop = min(start + _CHUNK, subsets)
+        # Prefixes first-1 .. last-1 own the chunk; trim the outer two runs.
+        first, last = (bisect.bisect_right(bounds, g) for g in (start, stop - 1))
+        runs = bounds[first : last + 1] - bounds[first - 1 : last]
+        runs[0] -= start - bounds[first - 1]
+        runs[-1] -= bounds[last] - stop
+        owners = slice(first - 1, last)
+        pairs = np.arange(start, stop) + shift[owners].repeat(runs)
+        xor = prefix[owners].repeat(runs, axis=0) ^ suffix[pairs]
+        popcounts = np.bitwise_count(xor).sum(axis=1, dtype=np.intp)
+        total += int(np.bincount(popcounts, minlength=n + 1) @ _squares(n))
     return total
 
 
@@ -199,17 +209,9 @@ def sum_j_squared(design: SignMatrix, s: int) -> int:
     """
     if s < 1:
         raise ValueError(f"order s must be at least 1, got {s}")
-    if s > design.cols:
-        return 0
     sums = design.j_squared_sums
     if s not in sums:
-        masks, n = design.neg_masks, design.rows
-        if s == 3:
-            sums[s] = _sum3(masks, n)
-        elif s == 4:
-            sums[s] = _sum4(masks, n)
-        else:
-            sums[s] = _sum_over_extensions(masks, 0, n, s)
+        sums[s] = _sum_squared_j(design.neg_words, 0, design.rows, s)
     return sums[s]
 
 
@@ -222,14 +224,10 @@ def sum_j_squared_filtered(
         raise ValueError(f"fixed set must have 1 or 2 columns, got {len(anchor)}")
     if s <= len(anchor):
         raise ValueError(f"order s must exceed the fixed set size, got s={s}")
-    base = 0
-    for c in anchor:
-        base ^= design.neg_masks[c]
-    rest = [design.neg_masks[c] for c in range(design.cols) if c not in set(anchor)]
-    k = s - len(anchor)
-    if k > len(rest):
-        return 0
-    return _sum_over_extensions(rest, base, design.rows, k)
+    words = design.neg_words
+    base = functools.reduce(operator.xor, (words[c] for c in anchor))
+    rest = np.delete(words, anchor, axis=0)
+    return _sum_squared_j(rest, base, design.rows, s - len(anchor))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,17 @@ def _capped(iterable: Iterable, cap: int | None) -> Iterator:
     return itertools.islice(iterable, cap)
 
 
+def _children(
+    saturated: SignMatrix, items: Iterable[tuple[tuple[int, ...], object]], cap
+) -> Iterator[tuple[tuple[SignMatrix, SignMatrix], object]]:
+    """Pair each capped (deletion set, choice) item with the (child, removed)
+    of its deletion set, built once per run of equal deletion sets."""
+    for deleted, group in itertools.groupby(_capped(items, cap), key=lambda t: t[0]):
+        built = drop_columns(saturated, deleted)
+        for _, choice in group:
+            yield built, choice
+
+
 def _u(n: int, d: int) -> int:
     return 16 * d * (n - 4 * d)
 
@@ -154,9 +165,8 @@ def verify_lemma2(
                     sum_j_squared_filtered(saturated, 4, [i0, j0]))
         )
 
-    singles = ((r1, i0) for r1 in range(q) for i0 in range(q - 1))
-    for r1, i0 in _capped(singles, cap):
-        child, removed = drop_columns(saturated, [r1])
+    singles = (((r1,), i0) for r1 in range(q) for i0 in range(q - 1))
+    for (child, removed), i0 in _children(saturated, singles, cap):
         context = f"deleted={removed.labels[0]} i0={child.labels[i0]}"
         results.append(
             _result("lemma2.item2", n, context,
@@ -169,12 +179,11 @@ def verify_lemma2(
                     sum_j_squared_filtered(child, 4, [i0]))
         )
     pairs = (
-        (r1, i0, j0)
+        ((r1,), chosen)
         for r1 in range(q)
-        for i0, j0 in itertools.combinations(range(q - 1), 2)
+        for chosen in itertools.combinations(range(q - 1), 2)
     )
-    for r1, i0, j0 in _capped(pairs, cap):
-        child, removed = drop_columns(saturated, [r1])
+    for (child, removed), (i0, j0) in _children(saturated, pairs, cap):
         d = d_parameter(removed.column(0), child.column(i0), child.column(j0))
         context = (
             f"deleted={removed.labels[0]} i0={child.labels[i0]} "
@@ -195,8 +204,7 @@ def verify_lemma2(
         for pair in itertools.combinations(range(q), 2)
         for i0 in range(q - 2)
     )
-    for pair, i0 in _capped(doubles, cap):
-        child, removed = drop_columns(saturated, pair)
+    for (child, removed), i0 in _children(saturated, doubles, cap):
         d = d_parameter(removed.column(0), removed.column(1), child.column(i0))
         context = (
             "deleted=" + ",".join(str(lb) for lb in removed.labels)

@@ -1,7 +1,8 @@
 """Straightforward reference implementations the optimised routes are tested
 against: column-Gram E(s^2), the |X^T X| = n aliasing scan, the per-pair
-strength-2 count loop, the bit-by-bit negative masks, and the full
-augmentation rebuilt one interaction column at a time."""
+strength-2 count loop, the bit-by-bit negative masks, the full
+augmentation rebuilt one interaction column at a time, and the unrolled
+pure-Python loops over integer bitmasks for the squared-J sums."""
 
 import itertools
 from fractions import Fraction
@@ -63,3 +64,80 @@ def full_augmentation_rebuilt(start: SignMatrix) -> SignMatrix:
         columns.append(vec[:, None])
         labels.append(label)
     return SignMatrix(np.hstack(columns), tuple(labels))
+
+
+def sum3_loop(masks, n: int) -> int:
+    total = 0
+    q = len(masks)
+    for a in range(q - 2):
+        ma = masks[a]
+        for b in range(a + 1, q - 1):
+            mab = ma ^ masks[b]
+            for c in range(b + 1, q):
+                j = n - 2 * (mab ^ masks[c]).bit_count()
+                total += j * j
+    return total
+
+
+def sum4_loop(masks, n: int) -> int:
+    total = 0
+    q = len(masks)
+    for a in range(q - 3):
+        ma = masks[a]
+        for b in range(a + 1, q - 2):
+            mab = ma ^ masks[b]
+            for c in range(b + 1, q - 1):
+                mabc = mab ^ masks[c]
+                for d in range(c + 1, q):
+                    j = n - 2 * (mabc ^ masks[d]).bit_count()
+                    total += j * j
+    return total
+
+
+def sum_over_extensions_loop(masks, base: int, n: int, k: int) -> int:
+    """Sum of squared J over all k-subsets of ``masks`` XOR-ed onto ``base``."""
+    total = 0
+    q = len(masks)
+    if k == 0:
+        j = n - 2 * base.bit_count()
+        return j * j
+    if k == 1:
+        for m in masks:
+            j = n - 2 * (base ^ m).bit_count()
+            total += j * j
+        return total
+    if k == 2:
+        for a in range(q - 1):
+            mba = base ^ masks[a]
+            for b in range(a + 1, q):
+                j = n - 2 * (mba ^ masks[b]).bit_count()
+                total += j * j
+        return total
+    if k == 3:
+        for a in range(q - 2):
+            mba = base ^ masks[a]
+            for b in range(a + 1, q - 1):
+                mbab = mba ^ masks[b]
+                for c in range(b + 1, q):
+                    j = n - 2 * (mbab ^ masks[c]).bit_count()
+                    total += j * j
+        return total
+    for combo in itertools.combinations(masks, k):
+        acc = base
+        for m in combo:
+            acc ^= m
+        j = n - 2 * acc.bit_count()
+        total += j * j
+    return total
+
+
+def sum_j_squared_loop(design: SignMatrix, s: int) -> int:
+    if s > design.cols:
+        return 0
+    masks, n = design.neg_masks, design.rows
+    if s == 3:
+        return sum3_loop(masks, n)
+    if s == 4:
+        return sum4_loop(masks, n)
+    return sum_over_extensions_loop(masks, 0, n, s)
+

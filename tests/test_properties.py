@@ -4,10 +4,16 @@
 Run counts include ones that are not a multiple of 8 and ones above 64, and
 the designs carry planted duplicate and negated columns."""
 
+import functools
+import itertools
+import operator
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import ssdopt.spectral
 from ssdopt import (
     SignMatrix,
     aliasing_report,
@@ -15,7 +21,10 @@ from ssdopt import (
     build_minus_one,
     drop_columns,
     es2_direct,
+    gwp_via_krawtchouk,
     hadamard_design,
+    sum_j_squared,
+    sum_j_squared_filtered,
     verify_oa_strength2,
 )
 
@@ -25,6 +34,8 @@ from _reference import (
     full_augmentation_rebuilt,
     neg_masks_loop,
     oa_strength2_loop,
+    sum_j_squared_loop,
+    sum_over_extensions_loop,
 )
 
 HADAMARD_ORDERS = [4, 8, 12, 16, 20, 24, 32, 64]
@@ -45,9 +56,9 @@ def _plant(draw, entries: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def random_designs(draw, min_cols=1):
+def random_designs(draw, min_cols=1, max_cols=40):
     n = draw(st.one_of(st.integers(1, 64), st.integers(65, 140)))
-    m = draw(st.integers(min_cols, 40))
+    m = draw(st.integers(min_cols, max_cols))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     entries = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, m))
     return SignMatrix.with_main_labels(_plant(draw, entries))
@@ -123,3 +134,47 @@ def test_minus_one_from_cached_block_equals_rebuild(case):
     pos = full.labels.index(delete)
     assert np.array_equal(build.design.entries, np.delete(full.entries, pos, axis=1))
     assert build.design.labels == full.labels[:pos] + full.labels[pos + 1 :]
+
+
+# A chunk of 5 subsets puts chunk boundaries inside every prefix's run of
+# suffixes; the default chunk holds every enumeration these designs need.
+CHUNKS = (ssdopt.spectral._CHUNK, 5)
+
+
+@given(random_designs(max_cols=12))
+@example(SignMatrix.with_main_labels(-np.ones((130, 7), dtype=np.int8)))
+def test_kernel_sums_equal_unrolled_loops(design):
+    for chunk in CHUNKS:
+        with mock.patch.object(ssdopt.spectral, "_CHUNK", chunk):
+            for s in range(1, 7):
+                fresh = SignMatrix(design.entries, design.labels)
+                assert sum_j_squared(fresh, s) == sum_j_squared_loop(design, s)
+
+
+@given(random_designs(min_cols=2, max_cols=12), st.data())
+def test_filtered_kernel_equals_extension_loop(design, data):
+    q, masks, words = design.cols, design.neg_masks, design.neg_words
+    for f in (1, 2):
+        fixed = data.draw(
+            st.lists(st.integers(0, q - 1), min_size=f, max_size=f, unique=True)
+        )
+        rest = [m for c, m in enumerate(masks) if c not in fixed]
+        base = functools.reduce(operator.xor, (masks[c] for c in fixed))
+        rest_words = np.delete(words, fixed, axis=0)
+        base_words = functools.reduce(operator.xor, (words[c] for c in fixed))
+        for chunk, k in itertools.product(CHUNKS, range(q - f + 1)):
+            expected = sum_over_extensions_loop(rest, base, design.rows, k)
+            with mock.patch.object(ssdopt.spectral, "_CHUNK", chunk):
+                kernel = ssdopt.spectral._sum_squared_j(
+                    rest_words, base_words, design.rows, k
+                )
+                assert kernel == expected
+                if k:
+                    assert sum_j_squared_filtered(design, f + k, fixed) == expected
+
+
+@given(random_designs(max_cols=8))
+def test_every_order_matches_krawtchouk_route(design):
+    n, gwp = design.rows, gwp_via_krawtchouk(design)
+    for s in range(1, design.cols + 1):
+        assert n * n * gwp[s] == sum_j_squared(design, s)

@@ -195,13 +195,13 @@ class TestSumJSquared:
         import ssdopt.spectral
 
         calls = []
-        real_sum3 = ssdopt.spectral._sum3
+        real_kernel = ssdopt.spectral._sum_squared_j
 
-        def counting_sum3(masks, n):
+        def counting_kernel(words, base, n, k):
             calls.append(n)
-            return real_sum3(masks, n)
+            return real_kernel(words, base, n, k)
 
-        monkeypatch.setattr(ssdopt.spectral, "_sum3", counting_sum3)
+        monkeypatch.setattr(ssdopt.spectral, "_sum_squared_j", counting_kernel)
         design = hadamard_design(12)
         assert sum_j_squared(design, 3) == sum_j_squared(design, 3) == 2640
         assert sum_j_squared(hadamard_design(12), 3) == 2640
