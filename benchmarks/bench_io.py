@@ -1,0 +1,109 @@
+"""Layer timings of the design CSV and JSON report writers.
+
+Times ``design_csv_text``, ``sidecar_json`` and ``json_text`` of the sidecar
+and of its verdict report for ``build_full(hadamard_design(n))`` at
+n = 12, 24, 32, 48, 64 (automatic construction) and for the n = 32
+Sylvester start, whose full augmentation has thousands of fully aliased
+pairs. Uses plain ``time.perf_counter``, best and median of 7 runs. Writes
+one JSON file with the machine, the times, the output sizes and the sha256
+of the output bytes, so two files compare outputs as well as times.
+
+    PYTHONPATH=src python benchmarks/bench_io.py [--out PATH]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from ssdopt import (
+    build_full,
+    design_csv_text,
+    hadamard_design,
+    json_text,
+    sidecar_json,
+    verdict,
+)
+
+STARTS = (
+    (12, "auto"),
+    (24, "auto"),
+    (32, "auto"),
+    (48, "auto"),
+    (64, "auto"),
+    (32, "sylvester"),
+)
+REPEATS = 7
+DEFAULT_OUT = Path(__file__).with_name("BENCH_io.json")
+
+
+def _timed(fn) -> tuple[list[float], object]:
+    times, result = [], None
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return times, result
+
+
+def _entry(name: str, fn) -> dict:
+    times, result = _timed(fn)
+    out = {"name": name, "best_s": min(times), "median_s": statistics.median(times),
+           "runs": len(times)}
+    if isinstance(result, str):
+        data = result.encode("utf-8")
+        out |= {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
+    args = parser.parse_args(argv)
+
+    cases = []
+    for n, construction in STARTS:
+        build = build_full(hadamard_design(n, construction))
+        report = verdict(build)
+        sidecar = sidecar_json(build, report)
+        entries = [
+            _entry("design_csv_text", lambda: design_csv_text(build.design)),
+            _entry("sidecar_json", lambda: sidecar_json(build, report)),
+            _entry("json_text(sidecar)", lambda: json_text(sidecar)),
+            _entry("json_text(report)", lambda: json_text(sidecar["report"])),
+        ]
+        cases.append({
+            "n": n,
+            "construction": construction,
+            "m": build.design.cols,
+            "aliased_pairs": len(report.aliased),
+            "timings": entries,
+        })
+        for e in entries:
+            print(f"n={n} {construction} {e['name']}: {e['best_s'] * 1e3:.2f} ms",
+                  file=sys.stderr)
+    result = {
+        "machine": {
+            "platform": platform.platform(),
+            "processor": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "cases": cases,
+    }
+    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,8 +25,8 @@ from .designio import (
     decimal_str,
     dump_json,
     evaluate_report,
+    json_text,
     read_design_csv,
-    report_json,
     sidecar_json,
     write_design_csv,
 )
@@ -83,9 +83,10 @@ def _cmd_generate(args) -> int:
     report = verdict(build)
     out = Path(args.out if args.out else f"ssd_n{args.n}_{args.family}.csv")
     write_design_csv(out, build.design)
-    dump_json(sidecar_json(build, report), out.with_suffix(".meta.json"))
+    sidecar = sidecar_json(build, report)
+    dump_json(sidecar, out.with_suffix(".meta.json"))
     if args.report:
-        dump_json(report_json(report), args.report)
+        dump_json(sidecar["report"], args.report)
     print(f"{_summary_line(report)} -> {out}")
     return 0
 
@@ -110,7 +111,7 @@ def _cmd_evaluate(args) -> int:
                 f"optimal={'yes' if core['optimal'] else 'no'} -> {args.report}"
             )
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text(payload), end="")
     return 0
 
 

@@ -9,13 +9,22 @@ the offending line and column.
 
 Rationals render in JSON as {"num", "den", "decimal"} where "decimal" is a
 12-significant-digit display string; equality semantics always use num/den.
+
+JSON files are written by :func:`json_text`: byte for byte what the stdlib's
+``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, plus one
+trailing newline, with the stdlib's string escaping. A list of flat records
+that share one key set, each key holding only ints or only strings (the
+aliased pairs, the GWP entries), is encoded in bulk: its values are gathered
+by column and every record is formatted by one template built from the
+sorted keys.
 """
 
 from __future__ import annotations
 
 import decimal
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +54,14 @@ class CsvFormatError(ValueError):
 
 
 def design_csv_text(design: SignMatrix) -> str:
-    """Serialize a design to CSV text, header included."""
-    lines = [",".join(str(label) for label in design.labels)]
-    for row in design.entries:
-        lines.append(",".join("+1" if v > 0 else "-1" for v in row))
-    return "\n".join(lines) + "\n"
+    """Serialize a design with at least one column to CSV text, header included."""
+    header = ",".join(str(label) for label in design.labels)
+    cells = np.empty((design.rows, design.cols, 3), dtype=np.uint8)
+    cells[:, :, 0] = np.where(design.entries > 0, ord("+"), ord("-"))
+    cells[:, :, 1] = ord("1")
+    cells[:, :, 2] = ord(",")
+    cells[:, -1, 2] = ord("\n")
+    return header + "\n" + cells.tobytes().decode("ascii")
 
 
 def _parse_labels(tokens: list[str]) -> tuple[ColumnLabel, ...]:
@@ -256,8 +268,110 @@ def evaluate_report(design: SignMatrix) -> dict:
     return out
 
 
+def _record_list(items: list, newline: str) -> str | None:
+    """Bulk encoding of a non-empty list of flat records, or None if it is not one.
+
+    A record list holds dicts only, all with one non-empty key set of strs,
+    and each key's values are all ``int`` or all ``str`` (exact types: a bool
+    is not an int). ``newline`` is the line break and indent of the list's
+    items. Ints are formatted by ``%d``, which gives ``int.__repr__`` digits.
+    """
+    first = items[0]
+    if (
+        not first
+        or set(map(type, items)) != {dict}
+        or set(map(len, items)) != {len(first)}
+        or set(map(type, first)) != {str}
+    ):
+        return None
+    names = sorted(first)
+    columns, fields = [], []
+    for name in names:
+        try:
+            values = list(map(itemgetter(name), items))
+        except KeyError:  # same size, other keys
+            return None
+        kinds = set(map(type, values))
+        if kinds == {int}:
+            fields.append("%d")
+        elif kinds == {str}:
+            fields.append("%s")
+            values = list(map(encode_basestring_ascii, values))
+        else:
+            return None
+        columns.append(values)
+    field = newline + "  "
+    template = (
+        "{"
+        + ",".join(
+            field + encode_basestring_ascii(name).replace("%", "%%") + ": " + spec
+            for name, spec in zip(names, fields)
+        )
+        + newline
+        + "}"
+    )
+    return ("," + newline).join(map(template.__mod__, zip(*columns)))
+
+
+def _json_chunks(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value``, whose closing bracket follows ``newline``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            out.append(opener + encode_basestring_ascii(key) + ": ")
+            _json_chunks(value[key], inner, out)
+            opener = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[" + inner)
+        body = _record_list(value, inner)
+        if body is not None:
+            out.append(body)
+        else:
+            for pos, item in enumerate(value):
+                if pos:
+                    out.append("," + inner)
+                _json_chunks(item, inner, out)
+        out.append(newline + "]")
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
+
+
+def json_text(payload) -> str:
+    """The stdlib's ``json.dumps`` of ``payload`` with ``indent=2`` and
+    ``sort_keys=True``, plus a trailing newline, byte for byte.
+
+    Accepts dict (str keys), list, str, int, bool and None; any other type
+    raises TypeError.
+    """
+    out: list[str] = []
+    _json_chunks(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def dump_json(payload: dict, path: str | Path) -> None:
     """Deterministic JSON file: sorted keys, two-space indent, one trailing newline."""
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json_text(payload), encoding="utf-8")

@@ -1,8 +1,9 @@
 """Straightforward reference implementations the optimised routes are tested
 against: column-Gram E(s^2), the |X^T X| = n aliasing scan, the per-pair
 strength-2 count loop, the bit-by-bit negative masks, the full
-augmentation rebuilt one interaction column at a time, and the unrolled
-pure-Python loops over integer bitmasks for the squared-J sums."""
+augmentation rebuilt one interaction column at a time, the unrolled
+pure-Python loops over integer bitmasks for the squared-J sums, and the
+row-by-row design CSV writer."""
 
 import itertools
 from fractions import Fraction
@@ -141,3 +142,9 @@ def sum_j_squared_loop(design: SignMatrix, s: int) -> int:
         return sum4_loop(masks, n)
     return sum_over_extensions_loop(masks, 0, n, s)
 
+
+def design_csv_text_loop(design: SignMatrix) -> str:
+    lines = [",".join(str(label) for label in design.labels)]
+    for row in design.entries:
+        lines.append(",".join("+1" if v > 0 else "-1" for v in row))
+    return "\n".join(lines) + "\n"

@@ -119,6 +119,7 @@ class TestEvaluate:
         assert code == 0
         payload = json.loads(stdout)
         assert payload["es2_report"]["optimal"] is True
+        assert stdout == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

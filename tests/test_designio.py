@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from ssdopt import (
     CsvFormatError,
     SignMatrix,
     build_full,
+    build_minus_one,
     decimal_str,
     design_csv_text,
     drop_columns,
@@ -21,6 +23,7 @@ from ssdopt import (
     verdict,
     write_design_csv,
 )
+from ssdopt.cli import main
 
 
 class TestCsvRoundTrip:
@@ -126,6 +129,43 @@ class TestJsonRendering:
         assert payload["family"]["parent"] == 0
         assert payload["d"] == build.d is not None
         assert payload["report"]["m"] == 17
+
+
+def _sylvester_32_full():
+    return build_full(hadamard_design(32, "sylvester"))
+
+
+def _paley_12_minus_c3():
+    start, removed = drop_columns(hadamard_design(12), [])
+    return build_minus_one(start, ColumnLabel.parse("c3"), removed)
+
+
+def stdlib_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+class TestJsonFilesMatchStdlib:
+    @pytest.mark.parametrize(
+        "argv, make_build, aliased",
+        [
+            (["--n", "32", "--construction", "sylvester", "--family", "full"],
+             _sylvester_32_full, True),
+            (["--n", "12", "--family", "minus-one", "--delete", "c3"],
+             _paley_12_minus_c3, False),
+        ],
+        ids=["n32-sylvester-full", "n12-minus-one"],
+    )
+    def test_generate_files_are_stdlib_bytes(self, tmp_path, argv, make_build, aliased):
+        out, report_path = tmp_path / "d.csv", tmp_path / "r.json"
+        assert main(["generate", *argv, "--out", str(out),
+                     "--report", str(report_path)]) == 0
+        build = make_build()
+        report = verdict(build)
+        assert bool(report.aliased) == aliased
+        assert (tmp_path / "d.meta.json").read_bytes() == stdlib_bytes(
+            sidecar_json(build, report)
+        )
+        assert report_path.read_bytes() == stdlib_bytes(report_json(report))
 
 
 class TestEvaluateReport:

@@ -1,15 +1,18 @@
 """Property tests: the fast routes against the reference implementations in
-``_reference.py``, on random +-1 designs and on perturbed Hadamard designs.
+``_reference.py``, on random +-1 designs and on perturbed Hadamard designs,
+and the JSON writer against the stdlib's ``json.dumps`` on random payloads.
 
 Run counts include ones that are not a multiple of 8 and ones above 64, and
 the designs carry planted duplicate and negated columns."""
 
 import functools
 import itertools
+import json
 import operator
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -19,17 +22,22 @@ from ssdopt import (
     aliasing_report,
     build_full,
     build_minus_one,
+    design_csv_text,
     drop_columns,
     es2_direct,
     gwp_via_krawtchouk,
     hadamard_design,
+    json_text,
+    parse_design_csv,
     sum_j_squared,
     sum_j_squared_filtered,
     verify_oa_strength2,
 )
+from ssdopt.designio import _record_list
 
 from _reference import (
     aliasing_scan,
+    design_csv_text_loop,
     es2_column_gram,
     full_augmentation_rebuilt,
     neg_masks_loop,
@@ -178,3 +186,99 @@ def test_every_order_matches_krawtchouk_route(design):
     n, gwp = design.rows, gwp_via_krawtchouk(design)
     for s in range(1, design.cols + 1):
         assert n * n * gwp[s] == sum_j_squared(design, s)
+
+
+@given(designs)
+@example(SignMatrix.with_main_labels(np.ones((1, 1), dtype=np.int8)))
+@example(SignMatrix.with_main_labels(-np.ones((130, 1), dtype=np.int8)))
+@example(build_full(hadamard_design(12)).design)
+def test_csv_text_equals_row_loop_and_round_trips(design):
+    text = design_csv_text(design)
+    assert text == design_csv_text_loop(design)
+    parsed = parse_design_csv(text)
+    assert parsed.same_entries(design) and parsed.labels == design.labels
+    assert design_csv_text(parsed) == text
+
+
+def stdlib_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+TEXTS = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f %:{}[],é€\u2028\U0001d11e')
+    | st.characters(),
+    max_size=6,
+)
+INTS = (
+    st.integers()
+    | st.integers(2**64 - 2, 2**80)
+    | st.integers(-(2**80), -(2**64) + 2)
+)
+SCALARS = st.none() | st.booleans() | INTS | TEXTS
+
+
+@st.composite
+def record_lists(draw, children=SCALARS, clean=False):
+    """Lists of dicts sharing one key set, optionally with one record given a
+    missing, extra or renamed key, and values of one type or mixed per key."""
+    keys = draw(st.lists(TEXTS, min_size=1, max_size=4, unique=True))
+    kinds = (INTS, TEXTS) if clean else (INTS, TEXTS, SCALARS, children)
+    values = {key: draw(st.sampled_from(kinds)) for key in keys}
+    records = [
+        {key: draw(values[key]) for key in keys}
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    if not clean:
+        victim = draw(st.sampled_from(records))
+        edit = draw(st.sampled_from(["none", "drop", "add", "rename"]))
+        if edit in ("drop", "rename"):
+            del victim[draw(st.sampled_from(keys))]
+        if edit in ("add", "rename"):
+            victim[draw(TEXTS)] = draw(SCALARS)
+    return records
+
+
+json_payloads = st.recursive(
+    SCALARS | record_lists(),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(TEXTS, children, max_size=4)
+        | record_lists(children)
+    ),
+    max_leaves=24,
+)
+
+
+@given(json_payloads)
+@example([])
+@example({})
+@example([{}, {}])
+@example([{"a": 1}, {"a": True}])
+@example([{"a": 2**70}, {"a": -(2**70)}])
+@example({"%s": [{"%d": "%", "b": 1}]})
+def test_json_text_equals_stdlib(payload):
+    assert json_text(payload) == stdlib_json(payload)
+
+
+@given(record_lists(clean=True))
+def test_uniform_record_lists_take_the_bulk_path(records):
+    assert _record_list(records, "\n  ") is not None
+    assert json_text(records) == stdlib_json(records)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        1.5,
+        [1, 2.5],
+        {"a": {"b": 0.0}},
+        [{"a": 1.0}, {"a": 2.0}],
+        {1: "x"},
+        {"a": 1, None: 2},
+        [{"a": 1, 2: 3}, {"a": 1, 2: 3}],
+        (1, 2),
+    ],
+)
+def test_json_text_rejects_floats_and_non_str_keys(payload):
+    with pytest.raises(TypeError):
+        json_text(payload)
