@@ -11,12 +11,19 @@ array's main-effect columns and two-column interactions:
 
 Column order is always mains first, then interactions lexicographically by
 column-position pair, so rebuilding with the same inputs is byte-identical.
+
+:data:`FAMILIES` holds each family's closed-form E(s^2) per covered deficit
+k (q = n - k); a build accepts exactly those deficits. Each build records the
+J-characteristic terms of the columns it chose (:attr:`SsdBuild.j_terms`),
+from which ``es2.es2_via_j`` recomputes E(s^2) without knowing the family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
 from .core import ColumnLabel, SignMatrix, verify_oa_strength2
 from .spectral import d_parameter
@@ -26,7 +33,46 @@ MINUS_ONE = "minus-one"
 INTERACTIONS_ONLY = "interactions-only"
 SINGLE_PARENT = "single-parent"
 
-_KINDS = (FULL, MINUS_ONE, INTERACTIONS_ONLY, SINGLE_PARENT)
+
+def _single_parent_n3(n: int, d: int | None) -> Fraction:
+    if d is None:
+        raise ValueError("single-parent at q = n - 3 needs d")
+    return Fraction(n**3 - 4 * n**2 - 32 * n * d + 128 * d * d, (2 * n - 7) * (n - 4))
+
+
+#: kind -> {deficit k covered at q = n - k: closed-form E(s^2) as f(n, d)}.
+#: Only the single-parent value at k = 3 uses the build's d.
+FAMILIES: dict[str, dict[int, Callable[[int, int | None], Fraction]]] = {
+    FULL: {
+        1: lambda n, d: Fraction(n * n, n + 1),
+        2: lambda n, d: Fraction(n * (n - 4), n - 3),
+        3: lambda n, d: Fraction(n * n * (n - 5), (n - 3) * (n - 1)),
+    },
+    MINUS_ONE: {
+        1: lambda n, d: Fraction(n * n, n + 1),
+        2: lambda n, d: Fraction(n * (n - 4), n - 3),
+    },
+    INTERACTIONS_ONLY: {
+        1: lambda n, d: Fraction(n * (n - 4), n - 3),
+        2: lambda n, d: Fraction(n * n * (n - 5), (n - 1) * (n - 3)),
+        3: lambda n, d: Fraction(n * n * (n - 6), (n - 2) * (n - 3)),
+    },
+    SINGLE_PARENT: {
+        1: lambda n, d: Fraction(n * n, 2 * n - 3),
+        2: lambda n, d: Fraction(n * n * (n - 4), (2 * n - 5) * (n - 3)),
+        3: _single_parent_n3,
+    },
+}
+
+#: (coefficient c, order s, fixed start positions F): c times the sum of J_s^2
+#: over the s-subsets of the start's columns that contain F (all of them when
+#: F is empty).
+JTerm = tuple[int, int, tuple[int, ...]]
+
+# With all mains and interactions present, each nonzero J_3 meets X^T X in
+# six off-diagonal cells (main x interaction) and each J_4 in six
+# (interaction x interaction); main x main and overlapping pairs are 0.
+_FULL_TERMS: tuple[JTerm, ...] = ((6, 3, ()), (6, 4, ()))
 
 
 @dataclass(frozen=True)
@@ -38,7 +84,7 @@ class SsdFamily:
     parent: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if (self.kind == MINUS_ONE) != (self.deleted is not None):
             raise ValueError("'minus-one' requires a deleted label, others forbid it")
@@ -69,16 +115,20 @@ class SsdBuild:
     ``d`` is the half-fraction multiplicity consumed by the evaluation
     formulas that depend on which columns were dropped from the saturated
     parent; it is resolved at build time when those columns are supplied.
+    ``j_terms`` give the numerator of E(s^2) in J-characteristics of
+    ``start``: the sum of the terms over m(m - 1).
     """
 
     design: SignMatrix
     start: SignMatrix
     family: SsdFamily
+    j_terms: tuple[JTerm, ...]
     d: int | None = None
 
 
-def _require_start(start: SignMatrix, deficits: tuple[int, ...], what: str) -> None:
+def _require_start(start: SignMatrix, kind: str, what: str) -> None:
     n, q = start.rows, start.cols
+    deficits = FAMILIES[kind]
     if n - q not in deficits:
         allowed = ", ".join(f"n-{k}" for k in deficits)
         raise ValueError(f"{what} needs q in {{{allowed}}}, got n={n}, q={q}")
@@ -101,11 +151,11 @@ def _pair_position(q: int, u: int, v: int) -> int:
 
 def build_full(start: SignMatrix) -> SsdBuild:
     """Augment the starting array with all of its two-column interactions."""
-    _require_start(start, (1, 2, 3), "full augmentation")
+    _require_start(start, FULL, "full augmentation")
     q = start.cols
     if start.rows > q + math.comb(q, 2):
         raise ValueError("design would not be supersaturated: n > q + C(q, 2)")
-    return SsdBuild(start.augmented, start, SsdFamily.full())
+    return SsdBuild(start.augmented, start, SsdFamily.full(), _FULL_TERMS)
 
 
 def build_minus_one(
@@ -116,8 +166,12 @@ def build_minus_one(
     ``removed`` carries the columns dropped from the saturated parent on the
     way to ``start``; with a one-column ``removed`` and an interaction
     deletion at q = n - 2 it determines the d recorded on the build.
+
+    The deleted column takes its own cells out of X^T X: a main column c
+    its J_3 cells through c (-2 F_3(c)), an interaction a*b its J_3 and J_4
+    cells through a and b (-2 F_3(a, b) - 2 F_4(a, b)).
     """
-    _require_start(start, (1, 2), "minus-one augmentation")
+    _require_start(start, MINUS_ONE, "minus-one augmentation")
     full = start.augmented
     try:
         pos = full.label_position(delete)
@@ -125,23 +179,22 @@ def build_minus_one(
         raise ValueError(f"{delete} is not a column of the full augmentation") from None
     design = _select(start, [c for c in range(full.cols) if c != pos])
     d = None
-    if (
-        delete.is_interaction
-        and start.rows - start.cols == 2
-        and removed is not None
-        and removed.cols == 1
-    ):
+    if delete.is_interaction:
         pa = start.label_position(ColumnLabel.main(delete.i))
         pb = start.label_position(ColumnLabel.main(delete.j))
-        d = d_parameter(removed.column(0), start.column(pa), start.column(pb))
-    return SsdBuild(design, start, SsdFamily.minus_one(delete), d)
+        terms = _FULL_TERMS + ((-2, 3, (pa, pb)), (-2, 4, (pa, pb)))
+        if start.rows - start.cols == 2 and removed is not None and removed.cols == 1:
+            d = d_parameter(removed.column(0), start.column(pa), start.column(pb))
+    else:
+        terms = _FULL_TERMS + ((-2, 3, (start.label_position(delete),)),)
+    return SsdBuild(design, start, SsdFamily.minus_one(delete), terms, d)
 
 
 def build_interactions_only(start: SignMatrix) -> SsdBuild:
     """Keep only the C(q, 2) two-column interactions of the starting array."""
-    _require_start(start, (1, 2, 3), "interactions-only construction")
+    _require_start(start, INTERACTIONS_ONLY, "interactions-only construction")
     design = _select(start, list(range(start.cols, start.augmented.cols)))
-    return SsdBuild(design, start, SsdFamily.interactions_only())
+    return SsdBuild(design, start, SsdFamily.interactions_only(), ((6, 4, ()),))
 
 
 def build_single_parent(
@@ -150,9 +203,11 @@ def build_single_parent(
     """All mains plus the q - 1 interactions involving one parent column.
 
     At q = n - 3 the evaluation formula depends on d; it is computed from the
-    two ``removed`` columns and the parent column when provided.
+    two ``removed`` columns and the parent column when provided. Only the
+    interactions through the parent remain, so X^T X holds each J_3 through
+    the parent in four cells (4 F_3(parent)).
     """
-    _require_start(start, (1, 2, 3), "single-parent augmentation")
+    _require_start(start, SINGLE_PARENT, "single-parent augmentation")
     if not 0 <= parent < start.cols:
         raise ValueError(f"parent index {parent} out of range")
     q = start.cols
@@ -165,4 +220,6 @@ def build_single_parent(
     d = None
     if start.rows - start.cols == 3 and removed is not None and removed.cols == 2:
         d = d_parameter(removed.column(0), removed.column(1), start.column(parent))
-    return SsdBuild(design, start, SsdFamily.single_parent(parent), d)
+    return SsdBuild(
+        design, start, SsdFamily.single_parent(parent), ((4, 3, (parent,)),), d
+    )

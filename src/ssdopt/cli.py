@@ -15,6 +15,11 @@ import sys
 from pathlib import Path
 
 from .builder import (
+    FAMILIES,
+    FULL,
+    INTERACTIONS_ONLY,
+    MINUS_ONE,
+    SINGLE_PARENT,
     build_full,
     build_interactions_only,
     build_minus_one,
@@ -34,7 +39,6 @@ from .es2 import verdict
 from .verify import CheckResult, verify_lemma1, verify_lemma2, verify_theorems
 
 _CONSTRUCTIONS = ("auto", "sylvester", "paley")
-_FAMILIES = ("full", "minus-one", "interactions-only", "single-parent")
 
 
 def _int_list(text: str) -> list[int]:
@@ -42,6 +46,16 @@ def _int_list(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+
+
+def _cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 (exhaustive) or positive, got {cap}")
+    return cap
 
 
 def _summary_line(report) -> str:
@@ -55,6 +69,10 @@ def _summary_line(report) -> str:
 
 
 def _cmd_generate(args) -> int:
+    if args.delete is not None and args.family != MINUS_ONE:
+        raise ValueError(f"--delete applies only to family {MINUS_ONE}")
+    if args.parent is not None and args.family != SINGLE_PARENT:
+        raise ValueError(f"--parent applies only to family {SINGLE_PARENT}")
     saturated = hadamard_design(args.n, args.construction, args.max_order)
     if args.drop_cols is not None:
         positions = [
@@ -66,13 +84,13 @@ def _cmd_generate(args) -> int:
         positions = list(range(saturated.cols - args.drop, saturated.cols))
     start, removed = drop_columns(saturated, positions)
 
-    if args.family == "full":
+    if args.family == FULL:
         build = build_full(start)
-    elif args.family == "minus-one":
+    elif args.family == MINUS_ONE:
         if args.delete is None:
             raise ValueError("--delete LABEL is required for family minus-one")
         build = build_minus_one(start, ColumnLabel.parse(args.delete), removed)
-    elif args.family == "interactions-only":
+    elif args.family == INTERACTIONS_ONLY:
         build = build_interactions_only(start)
     else:
         if args.parent is None:
@@ -174,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--drop-cols", type=_int_list, default=None, metavar="I,J",
         help="drop the columns with these 1-based factor indices",
     )
-    gen.add_argument("--family", choices=_FAMILIES, default="full")
+    gen.add_argument("--family", choices=tuple(FAMILIES), default=FULL)
     gen.add_argument(
         "--delete", metavar="LABEL",
         help="column to remove for family minus-one, e.g. c3 or c2*c5",
@@ -202,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ver = sub.add_parser(name, help=summary)
         ver.add_argument("--n", type=int, nargs="+", default=[12, 16, 20, 24])
         ver.add_argument(
-            "--cap", type=int, default=500,
+            "--cap", type=_cap, default=500,
             help="max checks per item, lexicographic prefix; 0 means exhaustive",
         )
         ver.add_argument("--construction", choices=_CONSTRUCTIONS, default="auto")

@@ -3,9 +3,10 @@
 E(s^2) is the average of the squared off-diagonal entries of X^T X. It is
 computed two ways that must agree exactly: directly from the inner products
 (through the row Gram X X^T, whose squared entries total those of X^T X), and
-through the J-characteristics of the starting array (each
-nonzero J_3 and J_4 value appears six times in X^T X for a full
-augmentation, with family-specific corrections otherwise).
+through the J-characteristics of the starting array, summing the terms
+each build records for the columns it chose (each nonzero J_3 and J_4 value
+appears six times in X^T X for a full augmentation). Closed-form values
+are looked up in ``builder.FAMILIES``.
 
 The lower bound applies to balanced designs with n = 0 (mod 4) and m =
 a(n-1) +/- r columns, a >= 1 and 0 <= r <= n/2:
@@ -25,15 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .builder import (
-    FULL,
-    INTERACTIONS_ONLY,
-    MINUS_ONE,
-    SINGLE_PARENT,
-    SsdBuild,
-    SsdFamily,
-)
-from .core import AliasedPair, ColumnLabel, SignMatrix, aliasing_report
+from .builder import FAMILIES, SsdBuild, SsdFamily
+from .core import AliasedPair, SignMatrix, aliasing_report
 from .spectral import sum_j_squared, sum_j_squared_filtered
 
 
@@ -54,74 +48,31 @@ def es2_direct(design: SignMatrix) -> Fraction:
 def es2_via_j(build: SsdBuild) -> Fraction:
     """E(s^2) recomputed from the starting array's J-characteristics.
 
-    Independent of :func:`es2_direct`; the two must agree exactly for every
-    build, which the verdict enforces.
+    Sums the build's recorded ``j_terms``. Independent of :func:`es2_direct`;
+    the two must agree exactly for every build, which the verdict enforces.
     """
     start = build.start
-    family = build.family
-    m = build.design.cols
-    if family.kind == FULL:
-        numerator = 6 * sum_j_squared(start, 3) + 6 * sum_j_squared(start, 4)
-    elif family.kind == INTERACTIONS_ONLY:
-        numerator = 6 * sum_j_squared(start, 4)
-    elif family.kind == SINGLE_PARENT:
-        numerator = 4 * sum_j_squared_filtered(start, 3, [family.parent])
-    else:
-        numerator = 6 * sum_j_squared(start, 3) + 6 * sum_j_squared(start, 4)
-        deleted = family.deleted
-        if deleted.is_interaction:
-            pa = start.label_position(ColumnLabel.main(deleted.i))
-            pb = start.label_position(ColumnLabel.main(deleted.j))
-            numerator -= 2 * sum_j_squared_filtered(start, 3, [pa, pb])
-            numerator -= 2 * sum_j_squared_filtered(start, 4, [pa, pb])
+    numerator = 0
+    for coefficient, s, fixed in build.j_terms:
+        if fixed:
+            numerator += coefficient * sum_j_squared_filtered(start, s, fixed)
         else:
-            pos = start.label_position(deleted)
-            numerator -= 2 * sum_j_squared_filtered(start, 3, [pos])
+            numerator += coefficient * sum_j_squared(start, s)
+    m = build.design.cols
     return Fraction(numerator, m * (m - 1))
 
 
 def es2_closed_form(
     family: SsdFamily, n: int, q: int, d: int | None = None
 ) -> Fraction:
-    """The exact E(s^2) value of a covered (family, n, q) cell.
-
-    Only q = n-1, n-2, n-3 cells are covered (q = n-3 is excluded for the
-    minus-one family); the single-parent value at q = n-3 additionally needs
-    the build's d.
-    """
-    deficit = n - q
-    if family.kind == FULL:
-        if deficit == 1:
-            return Fraction(n * n, n + 1)
-        if deficit == 2:
-            return Fraction(n * (n - 4), n - 3)
-        if deficit == 3:
-            return Fraction(n * n * (n - 5), (n - 3) * (n - 1))
-    elif family.kind == MINUS_ONE:
-        if deficit == 1:
-            return Fraction(n * n, n + 1)
-        if deficit == 2:
-            return Fraction(n * (n - 4), n - 3)
-    elif family.kind == INTERACTIONS_ONLY:
-        if deficit == 1:
-            return Fraction(n * (n - 4), n - 3)
-        if deficit == 2:
-            return Fraction(n * n * (n - 5), (n - 1) * (n - 3))
-        if deficit == 3:
-            return Fraction(n * n * (n - 6), (n - 2) * (n - 3))
-    elif family.kind == SINGLE_PARENT:
-        if deficit == 1:
-            return Fraction(n * n, 2 * n - 3)
-        if deficit == 2:
-            return Fraction(n * n * (n - 4), (2 * n - 5) * (n - 3))
-        if deficit == 3:
-            if d is None:
-                raise ValueError("single-parent at q = n - 3 needs d")
-            return Fraction(
-                n**3 - 4 * n**2 - 32 * n * d + 128 * d * d,
-                (2 * n - 7) * (n - 4),
-            )
-    raise ValueError(f"no closed form for family {family.kind!r} at q = n - {deficit}")
+    """The exact E(s^2) value of a covered (family, n, q) cell, from
+    :data:`builder.FAMILIES`; the single-parent value at q = n-3 needs d."""
+    forms = FAMILIES[family.kind]
+    if n - q not in forms:
+        raise ValueError(
+            f"no closed form for family {family.kind!r} at q = n - {n - q}"
+        )
+    return forms[n - q](n, d)
 
 
 def D_of(n: int, r: int) -> int:
@@ -146,10 +97,6 @@ class Decomposition:
     r: int
     sign: int
     D: int
-
-    @property
-    def r_mod4(self) -> int:
-        return self.r % 4
 
 
 def decompose_m(n: int, m: int) -> list[Decomposition]:

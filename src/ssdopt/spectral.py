@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SignMatrix, drop_columns
+from .core import SignMatrix
 
 
 def krawtchouk(i: int, j: int, q: int) -> int:
@@ -230,42 +230,6 @@ def sum_j_squared_filtered(
     return _sum_squared_j(rest, base, design.rows, s - len(anchor))
 
 
-@dataclass(frozen=True)
-class JSummary:
-    """Squared-J total of one order, optionally with every per-subset value."""
-
-    s: int
-    total_sq: int
-    per_subset: dict[tuple[int, ...], int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.total_sq < 0:
-            raise ValueError("total_sq cannot be negative")
-        if self.per_subset is not None:
-            recomputed = sum(v * v for v in self.per_subset.values())
-            if recomputed != self.total_sq:
-                raise ValueError("per-subset values do not reproduce total_sq")
-
-
-def j_summary(design: SignMatrix, s: int, keep_subsets: bool = False) -> JSummary:
-    """Summarize all J values of order s.
-
-    With ``keep_subsets`` the map is ordered lexicographically over column
-    positions, so it is reproducible across runs.
-    """
-    if not keep_subsets:
-        return JSummary(s, sum_j_squared(design, s))
-    if s < 1:
-        raise ValueError(f"order s must be at least 1, got {s}")
-    per: dict[tuple[int, ...], int] = {}
-    total = 0
-    for combo in itertools.combinations(range(design.cols), s):
-        value = j_characteristic(design, combo)
-        per[combo] = value
-        total += value * value
-    return JSummary(s, total, per)
-
-
 def d_parameter(t1, t2, t3) -> int:
     """Half-fraction multiplicity of a column triple.
 
@@ -293,41 +257,3 @@ def d_parameter(t1, t2, t3) -> int:
     if not 0 <= d <= n // 4:
         raise ValueError(f"d = {d} outside 0..{n // 4}")
     return d
-
-
-def verify_recursions(parent: SignMatrix, removed: Iterable[int]) -> bool:
-    """Check the four subset-partition identities behind the filtered sums.
-
-    For distinguished columns i0 (and j0) of the parent array H(n, q):
-
-        S3(q) = S3(q minus i0) + F3(q; i0)
-        S3(q) = S3(q minus i0) + F3(q; i0, j0) + F3(q minus j0; i0)
-
-    plus the two order-4 versions. ``removed`` names the distinguished
-    columns by position; with a single column given, j0 defaults to the
-    lowest other position (the identities hold for any choice). Vacuously
-    true when ``removed`` is empty.
-    """
-    chosen = tuple(removed)
-    if not chosen:
-        return True
-    _check_subset(parent, chosen)
-    if parent.cols < 5:
-        raise ValueError("parent needs at least 5 columns for the order-4 identities")
-    i0 = chosen[0]
-    j0 = chosen[1] if len(chosen) > 1 else next(
-        c for c in range(parent.cols) if c != i0
-    )
-    minus_i0, _ = drop_columns(parent, [i0])
-    minus_j0, _ = drop_columns(parent, [j0])
-    i0_in_minus_j0 = i0 - 1 if j0 < i0 else i0
-    for s in (3, 4):
-        total = sum_j_squared(parent, s)
-        without = sum_j_squared(minus_i0, s)
-        if total != without + sum_j_squared_filtered(parent, s, [i0]):
-            return False
-        both = sum_j_squared_filtered(parent, s, [i0, j0])
-        shifted = sum_j_squared_filtered(minus_j0, s, [i0_in_minus_j0])
-        if total != without + both + shifted:
-            return False
-    return True

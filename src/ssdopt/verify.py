@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .builder import (
-    SsdFamily,
     build_full,
     build_interactions_only,
     build_minus_one,
@@ -44,8 +43,10 @@ def _result(name: str, n: int, context: str, expected, actual) -> CheckResult:
 
 
 def _capped(iterable: Iterable, cap: int | None) -> Iterator:
-    if cap is None or cap <= 0:
+    if not cap:
         return iter(iterable)
+    if cap < 0:
+        raise ValueError(f"cap must be 0 (exhaustive) or positive, got {cap}")
     return itertools.islice(iterable, cap)
 
 
@@ -305,25 +306,25 @@ def verify_theorems(
         full = build_full(start)
         _check_cell(
             results, "theorem1", n, context, verdict(full),
-            es2_closed_form(SsdFamily.full(), n, q),
+            es2_closed_form(full.family, n, q, full.d),
             expected_lower_bound("full", n, deficit),
             Fraction(0),
         )
 
         if deficit <= 2:
             for delete in _capped(full.design.labels, cap):
-                rep = verdict(build_minus_one(start, delete, removed))
+                build = build_minus_one(start, delete, removed)
                 _check_cell(
-                    results, "theorem2", n, f"{context} delete={delete}", rep,
-                    es2_closed_form(SsdFamily.minus_one(delete), n, q),
+                    results, "theorem2", n, f"{context} delete={delete}",
+                    verdict(build), es2_closed_form(build.family, n, q, build.d),
                     expected_lower_bound("minus-one", n, deficit),
                     Fraction(0),
                 )
 
-        rep = verdict(build_interactions_only(start))
+        build = build_interactions_only(start)
         _check_cell(
-            results, "theorem3", n, context, rep,
-            es2_closed_form(SsdFamily.interactions_only(), n, q),
+            results, "theorem3", n, context, verdict(build),
+            es2_closed_form(build.family, n, q, build.d),
             expected_lower_bound("interactions-only", n, deficit),
             expected_gap("interactions-only", n, deficit),
         )
@@ -334,7 +335,7 @@ def verify_theorems(
             parent_context = f"{context} parent={start.labels[parent]}"
             _check_cell(
                 results, "theorem4", n, parent_context, rep,
-                es2_closed_form(SsdFamily.single_parent(parent), n, q, build.d),
+                es2_closed_form(build.family, n, q, build.d),
                 expected_lower_bound("single-parent", n, deficit),
                 expected_gap("single-parent", n, deficit, build.d),
             )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ssdopt import (
+    FAMILIES,
     ColumnLabel,
     SignMatrix,
     SsdFamily,
@@ -17,6 +18,15 @@ from ssdopt import (
     drop_columns,
     hadamard_design,
 )
+
+BUILDERS = {
+    "full": lambda start, removed: build_full(start),
+    "minus-one": lambda start, removed: build_minus_one(
+        start, ColumnLabel.main(1), removed
+    ),
+    "interactions-only": lambda start, removed: build_interactions_only(start),
+    "single-parent": lambda start, removed: build_single_parent(start, 0, removed),
+}
 
 
 def start_with_removed(n, deficit, drop=None):
@@ -133,6 +143,16 @@ class TestPreconditions:
         labels = start.labels[:-1] + (ColumnLabel.interaction(1, 2),)
         with pytest.raises(ValueError, match="interactions of interaction columns"):
             build_full(SignMatrix(start.entries, labels))
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    @pytest.mark.parametrize("deficit", [1, 2, 3, 4])
+    def test_builds_exactly_the_covered_deficits(self, kind, deficit):
+        start, removed = start_with_removed(12, deficit)
+        if deficit in FAMILIES[kind]:
+            assert BUILDERS[kind](start, removed).family.kind == kind
+        else:
+            with pytest.raises(ValueError, match=f"got n=12, q={12 - deficit}"):
+                BUILDERS[kind](start, removed)
 
     def test_single_parent_rejects_bad_index(self):
         start, _ = start_with_removed(12, 1)

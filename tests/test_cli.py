@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from ssdopt.cli import main
+from ssdopt import FAMILIES, verify_lemma1
+from ssdopt.cli import _build_parser, main
 
 
 def run(argv, capsys):
@@ -80,6 +82,31 @@ class TestGenerate:
         assert code == 2
         assert "--delete" in stderr
 
+    @pytest.mark.parametrize("family,flag", [
+        ("full", ["--delete", "c3"]),
+        ("interactions-only", ["--delete", "c1*c2"]),
+        ("single-parent", ["--parent", "1", "--delete", "c3"]),
+        ("full", ["--parent", "2"]),
+        ("minus-one", ["--delete", "c3", "--parent", "2"]),
+    ])
+    def test_flag_of_another_family_exits_2(self, tmp_path, capsys, family, flag):
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(
+            ["generate", "--n", "12", "--family", family, *flag, "--out", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == "" and not out.exists()
+        assert stderr.count("\n") == 1 and "error: " + flag[-2] in stderr
+
+    def test_family_choices_are_the_family_table(self):
+        sub = next(
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        family = next(a for a in sub.choices["generate"]._actions if a.dest == "family")
+        assert tuple(family.choices) == tuple(FAMILIES)
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -146,6 +173,21 @@ class TestVerifyCommands:
         assert code == 0
         assert "theorem4.gap" in stdout
         assert "FAIL" not in stdout
+
+    @pytest.mark.parametrize("command", ["verify-lemmas", "verify-theorems"])
+    def test_negative_cap_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--n", "12", "--cap", "-1"])
+        assert err.value.code == 2
+        assert "--cap" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="cap"):
+            verify_lemma1(12, cap=-1)
+
+    def test_cap_zero_is_exhaustive(self, capsys):
+        code, stdout, _ = run(["verify-theorems", "--n", "12", "--cap", "0"], capsys)
+        assert code == 0
+        # every label of the q = n-1 and q = n-2 full augmentations: 66 + 55
+        assert "PASS theorem2.es2 n=12 checks=121 failures=0" in stdout
 
     def test_verify_unreachable_n_exits_2(self, capsys):
         code, _, stderr = run(["verify-lemmas", "--n", "40", "--cap", "5"], capsys)

@@ -84,6 +84,16 @@ class TestEs2ViaJ:
             for build in builds:
                 assert es2_via_j(build) == es2_direct(build.design), build.family
 
+    @pytest.mark.parametrize("deficit", [1, 2])
+    def test_every_minus_one_label_matches_closed_form(self, deficit):
+        start, removed = start_with_removed(12, deficit)
+        labels = build_full(start).design.labels
+        assert len(labels) == {1: 66, 2: 55}[deficit]
+        for label in labels:
+            build = build_minus_one(start, label, removed)
+            closed = es2_closed_form(build.family, 12, start.cols, build.d)
+            assert es2_via_j(build) == es2_direct(build.design) == closed, label
+
 
 class TestClosedForms:
     def test_full_cells(self):

@@ -13,13 +13,11 @@ from ssdopt import (
     gwp_via_krawtchouk,
     hadamard_design,
     j_characteristic,
-    j_summary,
     krawtchouk,
     sum_j_squared,
     sum_j_squared_filtered,
     sylvester_hadamard,
     to_hadamard_design,
-    verify_recursions,
 )
 
 
@@ -169,6 +167,17 @@ class TestJCharacteristic:
                     value = j_characteristic(m, combo)
                     assert abs(value) <= n and (value - n) % 2 == 0
 
+    def test_regular_design_concentrates_pairwise_triple_sum(self):
+        # in a regular design one |J| = n term can carry a whole n^2 sum
+        design = hadamard_design(16, "sylvester")
+        values = [
+            j_characteristic(design, (0, 1, c)) for c in range(2, design.cols)
+        ]
+        assert sum(v * v for v in values) == 256
+        assert sum_j_squared_filtered(design, 3, [0, 1]) == 256
+        assert sorted(abs(v) for v in values)[-1] == 16
+        assert sum(1 for v in values if v != 0) == 1
+
 
 class TestSumJSquared:
     def test_matches_bruteforce_on_random_matrices(self):
@@ -309,50 +318,37 @@ class TestGwp:
                 assert 64 * gwp[s] == sum_j_squared(m, s)
 
 
-class TestJSummary:
-    def test_per_subset_reproduces_total(self):
-        design, _ = drop_columns(hadamard_design(12), [8, 9, 10])
-        summary = j_summary(design, 3, keep_subsets=True)
-        assert summary.total_sq == sum_j_squared(design, 3)
-        assert list(summary.per_subset) == sorted(summary.per_subset)
-        n = design.rows
-        for value in summary.per_subset.values():
-            assert abs(value) <= n and (value - n) % 2 == 0
+def assert_partition_identities(parent, i0, j0):
+    """The subset partitions behind the filtered sums, for s = 3 and 4:
 
-    def test_without_subsets(self):
-        design = hadamard_design(12)
-        summary = j_summary(design, 4)
-        assert summary.per_subset is None
-        assert summary.total_sq == sum_j_squared(design, 4)
-
-    def test_regular_design_concentrates_pairwise_triple_sum(self):
-        # in a regular design one |J| = n term can carry a whole n^2 sum;
-        # the retained per-subset map makes that visible
-        design = hadamard_design(16, "sylvester")
-        summary = j_summary(design, 3, keep_subsets=True)
-        values = [
-            v for subset, v in summary.per_subset.items() if {0, 1} <= set(subset)
-        ]
-        assert sum(v * v for v in values) == 256
-        assert sorted(abs(v) for v in values)[-1] == 16
-        assert sum(1 for v in values if v != 0) == 1
+        S_s(q) = S_s(q minus i0) + F_s(q; i0)
+        S_s(q) = S_s(q minus i0) + F_s(q; i0, j0) + F_s(q minus j0; i0)
+    """
+    minus_i0, _ = drop_columns(parent, [i0])
+    minus_j0, _ = drop_columns(parent, [j0])
+    i0_in_minus_j0 = i0 - 1 if j0 < i0 else i0
+    for s in (3, 4):
+        total = sum_j_squared(parent, s)
+        without = sum_j_squared(minus_i0, s)
+        assert total == without + sum_j_squared_filtered(parent, s, [i0]), s
+        both = sum_j_squared_filtered(parent, s, [i0, j0])
+        shifted = sum_j_squared_filtered(minus_j0, s, [i0_in_minus_j0])
+        assert total == without + both + shifted, s
 
 
 class TestVerifyRecursions:
     def test_saturated_parent(self):
-        assert verify_recursions(hadamard_design(12), [3])
+        assert_partition_identities(hadamard_design(12), 3, 0)
 
     def test_smaller_parent(self):
         parent, _ = drop_columns(hadamard_design(12), [10])
-        assert verify_recursions(parent, [0])
+        assert_partition_identities(parent, 0, 1)
 
     def test_two_distinguished_columns(self):
-        assert verify_recursions(hadamard_design(12), [2, 9])
-
-    def test_empty_is_vacuous(self):
-        assert verify_recursions(hadamard_design(12), [])
+        assert_partition_identities(hadamard_design(12), 2, 9)
+        assert_partition_identities(hadamard_design(12), 9, 2)
 
     def test_all_column_choices_at_n12(self):
         parent = hadamard_design(12)
         for i0 in range(parent.cols):
-            assert verify_recursions(parent, [i0])
+            assert_partition_identities(parent, i0, 1 if i0 == 0 else 0)
