@@ -1,0 +1,83 @@
+"""One sha256 per group of deterministic CLI outputs, to show that two commits
+print the same bytes.
+
+Runs every command in-process through ``ssdopt.cli.main`` and hashes, per
+command, its argv, exit code, stdout, stderr and every file it writes. The
+argv lists come from the benchmark's workload definitions
+(``ssdbench/workloads.py``, imported, never modified). Groups:
+
+* ``gen-grid``: every ``generate`` command of seeds 0, 3 and 7 (CSV, sidecar,
+  report and stdout);
+* ``eval-files``: ``evaluate`` of every seed-0 input (stdout, input and
+  report files);
+* ``verify-lemmas`` and ``verify-theorems`` at their defaults.
+
+Commands write under a temporary directory, whose path is replaced by a fixed
+token before hashing. Uses the standard library only.
+
+    python benchmarks/output_digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "ssdbench")]
+
+from ssdopt import cli  # noqa: E402
+import workloads  # noqa: E402
+
+GEN_SEEDS = (0, 3, 7)
+EVAL_SEED = 0
+TOKEN = "<tmp>"
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest_ops(digest, ops, scratch: str) -> int:
+    """Feed the outputs of ``ops``, run in order, to ``digest``; return their count."""
+    for op in ops:
+        code, out, err = run_cli(op.argv)
+        parts = [" ".join(op.argv), str(code), out, err]
+        parts += [path.read_text(encoding="utf-8") for _, path in sorted(op.files.items())]
+        for part in parts:
+            data = part.replace(scratch, TOKEN).encode("utf-8")
+            digest.update(len(data).to_bytes(8, "little") + data)
+    return len(ops)
+
+
+def main() -> int:
+    rows = []
+    with tempfile.TemporaryDirectory() as scratch:
+        setup_cli = lambda argv: run_cli(argv)[:2]  # noqa: E731
+        digest, count = hashlib.sha256(), 0
+        for seed in GEN_SEEDS:
+            ops = workloads.setup("gen-grid", seed, Path(scratch, f"gen-{seed}"), setup_cli)
+            count += digest_ops(digest, ops, scratch)
+        rows.append(("gen-grid seeds " + ",".join(map(str, GEN_SEEDS)), count, digest))
+        digest = hashlib.sha256()
+        ops = workloads.setup("eval-files", EVAL_SEED, Path(scratch, "eval"), setup_cli)
+        rows.append((f"eval-files seed {EVAL_SEED}", digest_ops(digest, ops, scratch), digest))
+        for command in ("verify-lemmas", "verify-theorems"):
+            digest = hashlib.sha256()
+            op = workloads.Op(command, "verify", [command])
+            rows.append((command, digest_ops(digest, [op], scratch), digest))
+    for name, count, digest in rows:
+        print(f"{name:<22} {count:>3} commands  {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,7 +36,13 @@ from .designio import (
     write_design_csv,
 )
 from .es2 import verdict
-from .verify import CheckResult, verify_lemma1, verify_lemma2, verify_theorems
+from .verify import (
+    CheckResult,
+    check_theorem_order,
+    verify_lemma1,
+    verify_lemma2,
+    verify_theorems,
+)
 
 _CONSTRUCTIONS = ("auto", "sylvester", "paley")
 
@@ -163,6 +169,8 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_verify_theorems(args) -> int:
+    for n in args.n:
+        check_theorem_order(n)
     failures = []
     for n in args.n:
         failures += _print_results(verify_theorems(n, args.construction, args.cap))

@@ -8,7 +8,6 @@ point anywhere.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -132,20 +131,23 @@ class SignMatrix:
         return wide @ wide.T
 
     @cached_property
-    def neg_masks(self) -> tuple[int, ...]:
-        """Per-column bitmask with bit r set when entry (r, c) equals -1.
+    def gram_square_sum(self) -> int:
+        """Sum of the squared entries of X^T X, diagonal included.
 
-        The entrywise product of a column subset then corresponds to the XOR
-        of their masks, which makes exhaustive J enumeration cheap.
+        Read off the n x n row Gram, whose squared entries have the same total,
+        so no m x m array is formed.
         """
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in self.neg_words)
+        g = self.row_gram()
+        return int(np.sum(g * g))
 
     @cached_property
     def neg_words(self) -> np.ndarray:
-        """The :attr:`neg_masks` bits as a read-only (q, ceil(n/64)) uint64 array.
+        """Per-column -1 bits as a read-only (q, ceil(n/64)) uint64 array.
 
-        Row c holds column c's -1 bits, zero-padded to whole 64-bit words, so
-        the exhaustive J kernel XORs and popcounts rows for any run count.
+        Bit r of row c is set when entry (r, c) equals -1, zero-padded to whole
+        64-bit words. The entrywise product of a column subset then corresponds
+        to the XOR of their rows, so the exhaustive J kernel XORs and popcounts
+        rows for any run count.
         """
         packed = np.packbits(self.entries < 0, axis=0, bitorder="little")
         padded = np.zeros((8 * -(-self.rows // 64), self.cols), dtype=np.uint8)
@@ -166,28 +168,22 @@ class SignMatrix:
     def is_oa_strength2(self) -> bool:
         """The strength-2 flag of :func:`verify_oa_strength2`, computed once."""
         n, q = self.rows, self.cols
+        # Pair (i, j) has (n + a*s_i + b*s_j + a*b*g_ij) / 4 runs with signs
+        # (a, b), from the column sums s and the Gram g; each is n / 4 iff
+        # s_i = s_j = g_ij = 0. The squared Gram entries total q*n^2 on the
+        # diagonal alone, so every g_ij vanishes iff that is the whole sum.
         if q < 2:
             return True
-        if n % 4 != 0:
-            return False
-        # Pair (i, j) has (n + a*s_i + b*s_j + a*b*g_ij) / 4 runs with signs
-        # (a, b), from the column sums s and the Gram g; each must be n / 4.
-        left, right = np.triu_indices(q, k=1)
-        sums = self.entries.sum(axis=0, dtype=np.int64)
-        si, sj, g = sums[left], sums[right], self.gram()[left, right]
-        return all(
-            bool(np.all(n + a * si + b * sj + a * b * g == n))
-            for a in (1, -1)
-            for b in (1, -1)
-        )
+        balanced = not np.any(self.entries.sum(axis=0, dtype=np.int64))
+        return balanced and self.gram_square_sum == q * n * n
 
     @cached_property
     def augmented(self) -> "SignMatrix":
         """The columns followed by all C(q, 2) two-column interactions.
 
-        Interactions are ordered lexicographically by column-position pair and
-        labeled as :func:`interaction_column` labels them. Built once per
-        instance; every augmented family is a column selection from it.
+        Interactions are ordered lexicographically by column-position pair;
+        the product of columns labeled ci and cj is labeled ci*cj. Built once
+        per instance; every augmented family is a column selection from it.
         """
         if self.cols > 1 and any(label.is_interaction for label in self.labels):
             raise ValueError("interactions of interaction columns are not supported")
@@ -199,21 +195,25 @@ class SignMatrix:
         )
         return SignMatrix(np.hstack([self.entries, block]), self.labels + labels)
 
-    def same_entries(self, other: "SignMatrix") -> bool:
-        return self.entries.shape == other.entries.shape and bool(
-            np.array_equal(self.entries, other.entries)
-        )
+
+@dataclass(frozen=True, eq=False)
+class AliasedPairs:
+    """Column pairs equal up to sign, as parallel int arrays in (i, j) order.
+
+    Pair k is columns ``i[k] < j[k]`` with inner product ``inner[k]`` = +/-n;
+    ``labels`` are the design's column labels. ``len()`` counts the pairs.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    inner: np.ndarray
+    labels: tuple[ColumnLabel, ...]
+
+    def __len__(self) -> int:
+        return len(self.i)
 
 
-@dataclass(frozen=True)
-class AliasedPair:
-    """Two columns equal up to sign: |inner product| equals the run count."""
-
-    i: int
-    j: int
-    label_i: ColumnLabel
-    label_j: ColumnLabel
-    inner: int
+_NO_PAIRS = np.zeros(0, dtype=np.int64)
 
 
 def _is_prime(p: int) -> bool:
@@ -382,59 +382,39 @@ def drop_columns(
     return kept, removed
 
 
-def interaction_column(
-    design: SignMatrix, i: int, j: int
-) -> tuple[np.ndarray, ColumnLabel]:
-    """Entrywise product of two distinct factor columns, with its label.
-
-    Symmetric in (i, j). Both columns must carry main-effect labels; the
-    product is labeled by the sorted pair of their factor indices.
-    """
-    if i == j:
-        raise ValueError("an interaction needs two distinct columns")
-    for pos in (i, j):
-        if not 0 <= pos < design.cols:
-            raise ValueError(f"column index {pos} out of range")
-    li, lj = design.labels[i], design.labels[j]
-    if li.is_interaction or lj.is_interaction:
-        raise ValueError("interactions of interaction columns are not supported")
-    product = design.entries[:, i] * design.entries[:, j]
-    return product, ColumnLabel.interaction(li.i, lj.i)
-
-
 def verify_oa_strength2(design: SignMatrix) -> bool:
     """True iff every column pair hits each sign combination n/4 times.
 
-    This is the literal strength-2 condition: the four cell counts of every
-    pair come from the column sums and the q x q Gram matrix, and any
-    violation (including an unbalanced column) makes some pair fail. The
-    flag is computed once per design instance.
+    This is the literal strength-2 condition. It holds exactly when every
+    column is balanced and every pair of columns is orthogonal, which the
+    flag reads off the column sums and the squared row Gram (no q x q Gram
+    is formed); it implies n = 0 (mod 4). A design with fewer than two
+    columns passes. The flag is computed once per design instance.
     """
     return design.is_oa_strength2
 
 
-def aliasing_report(design: SignMatrix) -> list[AliasedPair]:
+def aliasing_report(design: SignMatrix) -> AliasedPairs:
     """All unordered column pairs that are equal up to sign, in (i, j) order.
 
     Columns are made sign-canonical (row 0 set to +1) and grouped by content
     in O(nm); two columns alias exactly when their canonical forms coincide,
     and their inner product is then n times the product of their row-0 signs.
-    An empty list certifies that every pair is only partially aliased.
+    An empty result certifies that every pair is only partially aliased.
     """
-    n, m = design.rows, design.cols
-    signs = design.entries[0].tolist()
     # Bit r of a column's key is set where its canonical form has -1 in row r.
     packed = np.packbits(design.entries != design.entries[0], axis=0)
     keys = np.ascontiguousarray(packed.T).view(f"V{packed.shape[0]}").ravel().tolist()
-    if len(set(keys)) == m:
-        return []
+    if len(set(keys)) == design.cols:
+        return AliasedPairs(_NO_PAIRS, _NO_PAIRS, _NO_PAIRS, design.labels)
     groups: dict[bytes, list[int]] = {}
     for c, key in enumerate(keys):
         groups.setdefault(key, []).append(c)
-    pairs = sorted(
-        pair for group in groups.values() for pair in itertools.combinations(group, 2)
-    )
-    return [
-        AliasedPair(i, j, design.labels[i], design.labels[j], n * signs[i] * signs[j])
-        for i, j in pairs
-    ]
+    # Each group lists its columns in increasing order, so its upper-triangle
+    # pairs have i < j.
+    pairs = [np.array(g)[np.stack(np.triu_indices(len(g), 1))] for g in groups.values()]
+    i, j = np.concatenate(pairs, axis=1)
+    order = np.lexsort((j, i))
+    i, j = i[order], j[order]
+    signs = design.entries[0].astype(np.int64)
+    return AliasedPairs(i, j, design.rows * signs[i] * signs[j], design.labels)

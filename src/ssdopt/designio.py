@@ -31,7 +31,7 @@ import numpy as np
 
 from .builder import SsdBuild
 from .core import (
-    AliasedPair,
+    AliasedPairs,
     ColumnLabel,
     SignMatrix,
     aliasing_report,
@@ -145,16 +145,13 @@ def fraction_json(value: Fraction) -> dict:
     }
 
 
-def _aliased_json(pairs: tuple[AliasedPair, ...] | list[AliasedPair]) -> list[dict]:
+def _aliased_json(pairs: AliasedPairs) -> list[dict]:
+    if not pairs:
+        return []
+    names = [str(label) for label in pairs.labels]
     return [
-        {
-            "i": p.i,
-            "j": p.j,
-            "label_i": str(p.label_i),
-            "label_j": str(p.label_j),
-            "inner": p.inner,
-        }
-        for p in pairs
+        {"i": i, "j": j, "label_i": names[i], "label_j": names[j], "inner": inner}
+        for i, j, inner in zip(pairs.i.tolist(), pairs.j.tolist(), pairs.inner.tolist())
     ]
 
 

@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .builder import FAMILIES, SsdBuild, SsdFamily
-from .core import AliasedPair, SignMatrix, aliasing_report
+from .core import AliasedPairs, SignMatrix, aliasing_report
 from .spectral import sum_j_squared, sum_j_squared_filtered
 
 
@@ -40,9 +38,7 @@ def es2_direct(design: SignMatrix) -> Fraction:
     n, m = design.rows, design.cols
     if m < 2:
         raise ValueError("E(s^2) needs at least two columns")
-    g = design.row_gram()
-    off_diagonal_sq = int(np.sum(g * g)) - m * n * n
-    return Fraction(off_diagonal_sq, m * (m - 1))
+    return Fraction(design.gram_square_sum - m * n * n, m * (m - 1))
 
 
 def es2_via_j(build: SsdBuild) -> Fraction:
@@ -163,7 +159,7 @@ class OptimalityReport:
     es2: Fraction
     gap: Fraction
     optimal: bool
-    aliased: tuple[AliasedPair, ...]
+    aliased: AliasedPairs
     d: int | None
     notes: str
 
@@ -198,7 +194,7 @@ def verdict(build: SsdBuild) -> OptimalityReport:
     gap = es2 - lb
     if gap < 0:
         raise ArithmeticError(f"E(s^2) {es2} fell below the bound {lb}")
-    aliased = tuple(aliasing_report(design))
+    aliased = aliasing_report(design)
     if aliased:
         notes.append(
             f"{len(aliased)} fully aliased column pair(s) present; "

@@ -127,10 +127,8 @@ def _check_subset(design: SignMatrix, cols: Sequence[int]) -> tuple[int, ...]:
 def j_characteristic(design: SignMatrix, cols: Iterable[int]) -> int:
     """J_s(S): sum over runs of the entrywise product of the columns in S."""
     subset = _check_subset(design, tuple(cols))
-    acc = 0
-    for c in subset:
-        acc ^= design.neg_masks[c]
-    return design.rows - 2 * acc.bit_count()
+    product = np.bitwise_xor.reduce(design.neg_words[list(subset)], axis=0)
+    return design.rows - 2 * int(np.bitwise_count(product).sum())
 
 
 #: Subsets per numpy pass; it bounds the size of the kernel's temporary arrays.

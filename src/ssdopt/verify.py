@@ -287,6 +287,20 @@ def _check_cell(
     )
 
 
+_THEOREM_DEFICITS = (1, 2, 3)
+
+
+def check_theorem_order(n: int) -> None:
+    """Raise ValueError, naming n and q, when the full augmentation of some
+    theorem start q = n - k has fewer than n columns: n > q + C(q, 2)."""
+    short = [f"q={n - k}" for k in _THEOREM_DEFICITS if n > (n - k) * (n - k + 1) // 2]
+    if short:
+        raise ValueError(
+            f"n={n} is too small: at {' and '.join(short)} the full augmentation "
+            "has fewer than n columns (n > q + C(q, 2)), so it is not supersaturated"
+        )
+
+
 def verify_theorems(
     n: int, construction: str = "auto", cap: int | None = 500
 ) -> list[CheckResult]:
@@ -294,11 +308,13 @@ def verify_theorems(
 
     Starting arrays are the saturated design with the highest-index columns
     dropped. Theorem choice iteration (deleted column, parent factor) is
-    exhaustive up to the cap.
+    exhaustive up to the cap. An order too small for every cell to be
+    supersaturated is rejected before any cell is built.
     """
+    check_theorem_order(n)
     saturated = hadamard_design(n, construction)
     results: list[CheckResult] = []
-    for deficit in (1, 2, 3):
+    for deficit in _THEOREM_DEFICITS:
         q = n - deficit
         start, removed = drop_columns(saturated, list(range(q, n - 1)))
         context = f"q=n-{deficit}"

@@ -1,7 +1,7 @@
 """Straightforward reference implementations the optimised routes are tested
 against: column-Gram E(s^2), the |X^T X| = n aliasing scan, the per-pair
 strength-2 count loop, the bit-by-bit negative masks, the full
-augmentation rebuilt one interaction column at a time, the unrolled
+augmentation rebuilt one ``interaction_column`` at a time, the unrolled
 pure-Python loops over integer bitmasks for the squared-J sums, and the
 row-by-row design CSV writer."""
 
@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ssdopt import AliasedPair, SignMatrix, interaction_column
+from ssdopt import AliasedPairs, ColumnLabel, SignMatrix
 
 
 def es2_column_gram(design: SignMatrix) -> Fraction:
@@ -20,13 +20,15 @@ def es2_column_gram(design: SignMatrix) -> Fraction:
     return Fraction(off_diagonal_sq, m * (m - 1))
 
 
-def aliasing_scan(design: SignMatrix) -> list[AliasedPair]:
+def aliasing_scan(design: SignMatrix) -> AliasedPairs:
     g = design.gram()
-    hits = np.triu(np.abs(g) == design.rows, k=1)
-    return [
-        AliasedPair(int(i), int(j), design.labels[i], design.labels[j], int(g[i, j]))
-        for i, j in zip(*np.nonzero(hits))
-    ]
+    i, j = np.nonzero(np.triu(np.abs(g) == design.rows, k=1))
+    return AliasedPairs(i, j, g[i, j], design.labels)
+
+
+def pair_columns(pairs: AliasedPairs) -> tuple:
+    """The pairs as plain lists, for equality checks."""
+    return pairs.i.tolist(), pairs.j.tolist(), pairs.inner.tolist(), pairs.labels
 
 
 def oa_strength2_loop(design: SignMatrix) -> bool:
@@ -56,6 +58,26 @@ def neg_masks_loop(design: SignMatrix) -> tuple[int, ...]:
             mask |= 1 << int(r)
         out.append(mask)
     return tuple(out)
+
+
+def interaction_column(
+    design: SignMatrix, i: int, j: int
+) -> tuple[np.ndarray, ColumnLabel]:
+    """Entrywise product of two distinct factor columns, with its label.
+
+    Symmetric in (i, j). Both columns must carry main-effect labels; the
+    product is labeled by the sorted pair of their factor indices.
+    """
+    if i == j:
+        raise ValueError("an interaction needs two distinct columns")
+    for pos in (i, j):
+        if not 0 <= pos < design.cols:
+            raise ValueError(f"column index {pos} out of range")
+    li, lj = design.labels[i], design.labels[j]
+    if li.is_interaction or lj.is_interaction:
+        raise ValueError("interactions of interaction columns are not supported")
+    product = design.entries[:, i] * design.entries[:, j]
+    return product, ColumnLabel.interaction(li.i, lj.i)
 
 
 def full_augmentation_rebuilt(start: SignMatrix) -> SignMatrix:
@@ -135,7 +157,7 @@ def sum_over_extensions_loop(masks, base: int, n: int, k: int) -> int:
 def sum_j_squared_loop(design: SignMatrix, s: int) -> int:
     if s > design.cols:
         return 0
-    masks, n = design.neg_masks, design.rows
+    masks, n = neg_masks_loop(design), design.rows
     if s == 3:
         return sum3_loop(masks, n)
     if s == 4:

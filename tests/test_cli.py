@@ -1,9 +1,11 @@
 import argparse
 import json
+from fractions import Fraction
 
 import pytest
 
-from ssdopt import FAMILIES, verify_lemma1
+import ssdopt.designio
+from ssdopt import FAMILIES, GwpVector, SignMatrix, verify_lemma1
 from ssdopt.cli import _build_parser, main
 
 
@@ -159,6 +161,29 @@ class TestEvaluate:
         code, _, _ = run(["evaluate", str(tmp_path / "absent.csv")], capsys)
         assert code == 2
 
+    def test_generate_and_evaluate_never_form_the_column_gram(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(self):
+            raise AssertionError("SignMatrix.gram was called")
+
+        monkeypatch.setattr(SignMatrix, "gram", refuse)
+        # The Krawtchouk GWP is cubic in m (minutes at m = 2016) and reads
+        # only the row Gram, so it is stubbed to keep this test fast.
+        monkeypatch.setattr(
+            ssdopt.designio,
+            "gwp_via_krawtchouk",
+            lambda design: GwpVector((Fraction(0),) * design.cols),
+        )
+        out = tmp_path / "d.csv"
+        argv = ["generate", "--n", "64", "--family", "full", "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        report = tmp_path / "e.json"
+        assert run(["evaluate", str(out), "--report", str(report)], capsys)[0] == 0
+        payload = json.loads(report.read_text())
+        assert payload["oa_strength_2"] is False
+        assert len(payload["aliased_pairs"]) == 31248
+
 
 class TestVerifyCommands:
     def test_verify_lemmas_small_grid(self, capsys):
@@ -188,6 +213,14 @@ class TestVerifyCommands:
         assert code == 0
         # every label of the q = n-1 and q = n-2 full augmentations: 66 + 55
         assert "PASS theorem2.es2 n=12 checks=121 failures=0" in stdout
+
+    @pytest.mark.parametrize("ns", [["4"], ["8", "4"]])
+    def test_too_small_n_exits_2_before_any_output(self, capsys, ns):
+        code, stdout, stderr = run(["verify-theorems", "--n", *ns], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        assert "n=4" in stderr and "q=2" in stderr
 
     def test_verify_unreachable_n_exits_2(self, capsys):
         code, _, stderr = run(["verify-lemmas", "--n", "40", "--cap", "5"], capsys)

@@ -10,13 +10,14 @@ from ssdopt import (
     drop_columns,
     hadamard_design,
     hadamard_matrix,
-    interaction_column,
     normalize,
     paley_hadamard,
     sylvester_hadamard,
     to_hadamard_design,
     verify_oa_strength2,
 )
+
+from _reference import aliasing_scan, interaction_column, oa_strength2_loop, pair_columns
 
 
 def assert_hadamard(matrix):
@@ -76,12 +77,12 @@ class TestSignMatrix:
         with pytest.raises(ValueError):
             m.entries[0, 0] = -1
 
-    def test_neg_masks_match_entries(self):
+    def test_neg_words_match_entries(self):
         m = hadamard_design(12)
         for c in range(m.cols):
-            mask = m.neg_masks[c]
             for r in range(m.rows):
-                assert ((mask >> r) & 1) == (1 if m.entries[r, c] == -1 else 0)
+                bit = (int(m.neg_words[c, r // 64]) >> (r % 64)) & 1
+                assert bit == (1 if m.entries[r, c] == -1 else 0)
 
 
 class TestSylvester:
@@ -128,14 +129,14 @@ class TestNormalize:
     def test_idempotent(self):
         h4 = sylvester_hadamard(2)
         again = normalize(h4)
-        assert again.same_entries(h4)
+        assert np.array_equal(again.entries, h4.entries)
 
     def test_row_negation_is_involutive(self):
         h4 = sylvester_hadamard(2)
         flipped = h4.entries.copy()
         flipped[1, :] *= -1
         restored = normalize(SignMatrix(flipped, h4.labels))
-        assert restored.same_entries(h4)
+        assert np.array_equal(restored.entries, h4.entries)
 
     def test_postcondition_on_paley(self):
         raw = paley_hadamard(11)
@@ -186,7 +187,7 @@ class TestDropColumns:
     def test_empty_drop_is_identity(self):
         design = hadamard_design(12)
         kept, removed = drop_columns(design, [])
-        assert kept.same_entries(design)
+        assert np.array_equal(kept.entries, design.entries)
         assert kept.labels == design.labels
         assert removed.cols == 0
 
@@ -253,6 +254,23 @@ class TestVerifyOaStrength2:
         entries = np.array([[1, 1], [1, -1], [1, 1], [1, -1]])
         assert not verify_oa_strength2(SignMatrix.with_main_labels(entries))
 
+    @pytest.mark.parametrize(
+        "columns, expected",
+        [
+            # one unbalanced column: no pair to test
+            ([[1, 1, 1, -1, 1]], True),
+            # balanced but not orthogonal (inner product 4)
+            ([[1, 1, -1, -1, 1, -1, 1, -1], [1, 1, -1, -1, -1, -1, 1, 1]], False),
+            # balanced, n = 6 is not a multiple of 4, so never orthogonal
+            ([[1, 1, 1, -1, -1, -1], [1, -1, 1, -1, 1, -1]], False),
+            # balanced and orthogonal
+            ([[1, 1, -1, -1], [1, -1, 1, -1]], True),
+        ],
+    )
+    def test_examples_match_pair_count_loop(self, columns, expected):
+        design = SignMatrix.with_main_labels(np.array(columns).T)
+        assert verify_oa_strength2(design) == oa_strength2_loop(design) == expected
+
     def test_matches_bruteforce_on_random_matrices(self):
         rng = np.random.default_rng(20240811)
         for _ in range(25):
@@ -268,8 +286,37 @@ class TestAliasingReport:
         labels = design.labels + (ColumnLabel.main(99),)
         report = aliasing_report(SignMatrix(doubled, labels))
         assert len(report) == 1
-        assert report[0].inner == -12
-        assert (report[0].i, report[0].j) == (0, 11)
+        assert (report.i.tolist(), report.j.tolist()) == ([0], [11])
+        assert report.inner.tolist() == [-12]
+        assert report.labels == labels
+
+    def test_no_aliased_pairs(self):
+        design = hadamard_design(12)
+        report = aliasing_report(design)
+        assert len(report) == 0 and not report
+        assert pair_columns(report) == ([], [], [], design.labels)
+
+    def test_all_columns_equal_form_one_group(self):
+        column = np.array([1, -1, -1, 1, -1, 1], dtype=np.int8)
+        design = SignMatrix.with_main_labels(np.tile(column[:, None], (1, 5)))
+        report = aliasing_report(design)
+        pairs = list(itertools.combinations(range(5), 2))
+        assert pair_columns(report) == (
+            [i for i, _ in pairs], [j for _, j in pairs], [6] * 10, design.labels
+        )
+        assert pair_columns(report) == pair_columns(aliasing_scan(design))
+
+    def test_keys_spanning_several_bytes(self):
+        # n = 130 packs each key into 17 bytes; the third column differs
+        # from the first only in the last run, which lands in the last byte.
+        rng = np.random.default_rng(130)
+        first = rng.choice(np.array([-1, 1], dtype=np.int8), size=130)
+        near = first.copy()
+        near[-1] = -near[-1]
+        design = SignMatrix.with_main_labels(np.stack([first, -first, near], axis=1))
+        report = aliasing_report(design)
+        assert pair_columns(report) == ([0], [1], [-130], design.labels)
+        assert pair_columns(report) == pair_columns(aliasing_scan(design))
 
     def test_inner_product_parity_invariant(self):
         rng = np.random.default_rng(7)

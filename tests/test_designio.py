@@ -31,7 +31,7 @@ class TestCsvRoundTrip:
         build = build_full(hadamard_design(12))
         text = design_csv_text(build.design)
         parsed = parse_design_csv(text)
-        assert parsed.same_entries(build.design)
+        assert np.array_equal(parsed.entries, build.design.entries)
         assert parsed.labels == build.design.labels
         assert design_csv_text(parsed) == text
 
@@ -40,7 +40,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "design.csv"
         write_design_csv(path, design)
         again = read_design_csv(path)
-        assert again.same_entries(design)
+        assert np.array_equal(again.entries, design.entries)
         assert again.labels == design.labels
 
     def test_header_is_always_written(self):
@@ -52,7 +52,7 @@ class TestCsvRoundTrip:
         design = hadamard_design(12)
         text = "\n".join(design_csv_text(design).splitlines()[1:]) + "\n"
         parsed = parse_design_csv(text)
-        assert parsed.same_entries(design)
+        assert np.array_equal(parsed.entries, design.entries)
         assert parsed.labels == tuple(ColumnLabel.main(i) for i in range(1, 12))
 
 

@@ -42,6 +42,7 @@ from _reference import (
     full_augmentation_rebuilt,
     neg_masks_loop,
     oa_strength2_loop,
+    pair_columns,
     sum_j_squared_loop,
     sum_over_extensions_loop,
 )
@@ -100,7 +101,7 @@ def test_row_gram_es2_equals_column_gram(design):
 
 @given(designs)
 def test_hashed_aliasing_equals_gram_scan(design):
-    assert aliasing_report(design) == aliasing_scan(design)
+    assert pair_columns(aliasing_report(design)) == pair_columns(aliasing_scan(design))
 
 
 @given(designs)
@@ -111,7 +112,8 @@ def test_vectorised_strength2_equals_pair_counts(design):
 @given(designs)
 @example(SignMatrix.with_main_labels(-np.ones((130, 3), dtype=np.int8)))
 def test_packed_neg_masks_equal_bit_loop(design):
-    assert design.neg_masks == neg_masks_loop(design)
+    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in design.neg_words)
+    assert masks == neg_masks_loop(design)
 
 
 @st.composite
@@ -137,7 +139,8 @@ def minus_one_cases(draw):
 def test_minus_one_from_cached_block_equals_rebuild(case):
     start, removed, full, delete = case
     cached = build_full(start).design
-    assert cached.same_entries(full) and cached.labels == full.labels
+    assert np.array_equal(cached.entries, full.entries)
+    assert cached.labels == full.labels
     build = build_minus_one(start, delete, removed)
     pos = full.labels.index(delete)
     assert np.array_equal(build.design.entries, np.delete(full.entries, pos, axis=1))
@@ -161,7 +164,7 @@ def test_kernel_sums_equal_unrolled_loops(design):
 
 @given(random_designs(min_cols=2, max_cols=12), st.data())
 def test_filtered_kernel_equals_extension_loop(design, data):
-    q, masks, words = design.cols, design.neg_masks, design.neg_words
+    q, masks, words = design.cols, neg_masks_loop(design), design.neg_words
     for f in (1, 2):
         fixed = data.draw(
             st.lists(st.integers(0, q - 1), min_size=f, max_size=f, unique=True)
@@ -196,7 +199,8 @@ def test_csv_text_equals_row_loop_and_round_trips(design):
     text = design_csv_text(design)
     assert text == design_csv_text_loop(design)
     parsed = parse_design_csv(text)
-    assert parsed.same_entries(design) and parsed.labels == design.labels
+    assert np.array_equal(parsed.entries, design.entries)
+    assert parsed.labels == design.labels
     assert design_csv_text(parsed) == text
 
 
