@@ -1,0 +1,121 @@
+"""Layer timings of the verify commands and the verdict plumbing under them.
+
+Times ``verify_lemma2(n)`` and ``verify_theorems(n)`` (cap 500, the CLI
+default) at n = 12, 24, 32, 48, 64, ``SignMatrix.row_gram`` on the full
+augmentation of ``hadamard_design(n)`` at the same orders, and
+``aliasing_report`` on the n = 32 and n = 64 Sylvester full augmentations,
+with plain ``time.perf_counter``. Every verify call builds its designs
+afresh, so no per-instance memo carries over between runs. Writes one JSON
+file with the machine, the best and median times, and a sha256 of each
+result, so two files compare outputs as well as times.
+
+    PYTHONPATH=src python benchmarks/bench_verify.py [--out PATH]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from ssdopt import (
+    aliasing_report,
+    build_full,
+    hadamard_design,
+    verify_lemma2,
+    verify_theorems,
+)
+
+ORDERS = (12, 24, 32, 48, 64)
+ALIASING_ORDERS = (32, 64)
+CAP = 500
+VERIFY_REPEATS = 3
+KERNEL_REPEATS = 7
+DEFAULT_OUT = Path(__file__).with_name("BENCH_verify.json")
+
+
+def _timed(fn, repeats: int) -> tuple[list[float], object]:
+    times, result = [], None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return times, result
+
+
+def _summary(times: list[float]) -> dict:
+    return {
+        "best_s": min(times),
+        "median_s": statistics.median(times),
+        "runs": len(times),
+    }
+
+
+def _sha256(*parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        data = part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode()
+        digest.update(len(data).to_bytes(8, "little") + data)
+    return digest.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
+    args = parser.parse_args(argv)
+
+    verify = []
+    for name, fn in (("verify_lemma2", verify_lemma2), ("verify_theorems", verify_theorems)):
+        for n in ORDERS:
+            times, results = _timed(lambda: fn(n, cap=CAP), VERIFY_REPEATS)
+            verify.append(
+                {"function": name, "n": n, "cap": CAP, "checks": len(results),
+                 "all_ok": all(r.ok for r in results),
+                 "results_sha256": _sha256(results)}
+                | _summary(times)
+            )
+            print(f"{name} n={n}: {min(times):.3f} s", file=sys.stderr)
+    row_gram = []
+    for n in ORDERS:
+        design = build_full(hadamard_design(n)).design
+        times, gram = _timed(design.row_gram, KERNEL_REPEATS)
+        row_gram.append(
+            {"n": n, "m": design.cols, "gram_sha256": _sha256(gram)} | _summary(times)
+        )
+        print(f"row_gram n={n} m={design.cols}: {min(times) * 1e3:.3f} ms", file=sys.stderr)
+    aliasing = []
+    for n in ALIASING_ORDERS:
+        design = build_full(hadamard_design(n, "sylvester")).design
+        times, pairs = _timed(lambda: aliasing_report(design), KERNEL_REPEATS)
+        aliasing.append(
+            {"n": n, "construction": "sylvester", "m": design.cols, "pairs": len(pairs),
+             "pairs_sha256": _sha256(pairs.i, pairs.j, pairs.inner, pairs.labels)}
+            | _summary(times)
+        )
+        print(f"aliasing_report n={n}: {min(times) * 1e3:.3f} ms", file=sys.stderr)
+    report = {
+        "machine": {
+            "platform": platform.platform(),
+            "processor": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "verify": verify,
+        "row_gram": row_gram,
+        "aliasing_report": aliasing,
+    }
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

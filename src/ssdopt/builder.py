@@ -138,10 +138,7 @@ def _require_start(start: SignMatrix, kind: str, what: str) -> None:
 
 def _select(start: SignMatrix, positions: list[int]) -> SignMatrix:
     """Columns of the start's full augmentation (built once per start), by position."""
-    full = start.augmented
-    return SignMatrix(
-        full.entries[:, positions], tuple(full.labels[p] for p in positions)
-    )
+    return start.augmented.take(positions)
 
 
 def _pair_position(q: int, u: int, v: int) -> int:

@@ -160,6 +160,9 @@ def _finish_verification(failures: list[CheckResult]) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    # Reject every unusable n before the first line is printed.
+    for n in args.n:
+        hadamard_design(n, args.construction)
     failures = []
     for n in args.n:
         results = verify_lemma1(n, args.construction, args.cap)
@@ -171,6 +174,7 @@ def _cmd_verify_lemmas(args) -> int:
 def _cmd_verify_theorems(args) -> int:
     for n in args.n:
         check_theorem_order(n)
+        hadamard_design(n, args.construction)
     failures = []
     for n in args.n:
         failures += _print_results(verify_theorems(n, args.construction, args.cap))

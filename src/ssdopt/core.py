@@ -68,6 +68,19 @@ class ColumnLabel:
         return f"c{self.i}" if self.j is None else f"c{self.i}*c{self.j}"
 
 
+#: uint64 words XOR-ed per block of :meth:`SignMatrix.row_gram`.
+_GRAM_WORDS = 1 << 16
+
+
+def _packed_rows(bits: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D bool array as uint64 words: bit t of the row's
+    little-endian bit string is element t, zero-padded to whole words."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((bits.shape[0], 8 * -(-bits.shape[1] // 64)), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
 @dataclass(frozen=True, eq=False)
 class SignMatrix:
     """Immutable two-level design matrix with labeled columns."""
@@ -125,10 +138,34 @@ class SignMatrix:
         wide = self.entries.astype(np.int64)
         return wide.T @ wide
 
+    def take(self, positions) -> "SignMatrix":
+        """The columns at ``positions`` (distinct, in range), in that order.
+
+        The entries of a valid design need no revalidation, so the selection
+        skips it: it is read-only and carries the columns' labels.
+        """
+        out = object.__new__(SignMatrix)
+        entries = self.entries[:, positions]
+        entries.flags.writeable = False
+        labels = self.labels
+        object.__setattr__(out, "entries", entries)
+        object.__setattr__(out, "labels", tuple([labels[p] for p in positions]))
+        return out
+
     def row_gram(self) -> np.ndarray:
-        """X X^T in exact 64-bit integer arithmetic: the n x n run inner products."""
-        wide = self.entries.astype(np.int64)
-        return wide @ wide.T
+        """X X^T as exact int64: the n x n run inner products.
+
+        Entry (i, j) is m - 2 * popcount(r_i ^ r_j), where r_i holds row i's
+        -1 bits packed into uint64 words; row blocks bound the temporaries.
+        """
+        n, m = self.rows, self.cols
+        words = _packed_rows(self.entries < 0)
+        gram = np.empty((n, n), dtype=np.int64)
+        block = max(1, _GRAM_WORDS // (n * words.shape[1] or 1))
+        for start in range(0, n, block):
+            xor = words[start : start + block, None, :] ^ words[None, :, :]
+            gram[start : start + block] = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
+        return m - 2 * gram
 
     @cached_property
     def gram_square_sum(self) -> int:
@@ -149,18 +186,16 @@ class SignMatrix:
         to the XOR of their rows, so the exhaustive J kernel XORs and popcounts
         rows for any run count.
         """
-        packed = np.packbits(self.entries < 0, axis=0, bitorder="little")
-        padded = np.zeros((8 * -(-self.rows // 64), self.cols), dtype=np.uint8)
-        padded[: packed.shape[0]] = packed
-        words = np.ascontiguousarray(padded.T).view(np.uint64)
+        words = _packed_rows(np.ascontiguousarray((self.entries < 0).T))
         words.flags.writeable = False
         return words
 
     @cached_property
-    def j_squared_sums(self) -> dict[int, int]:
-        """Memo of :func:`ssdopt.spectral.sum_j_squared` by order s.
+    def j_squared_sums(self) -> dict:
+        """Memo of :func:`ssdopt.spectral.sum_j_squared` by order s, and of
+        :func:`ssdopt.spectral.anchored_j_squared_sums` by (s, anchors).
 
-        The entries never change, so each order is enumerated once per instance.
+        The entries never change, so each is enumerated once per instance.
         """
         return {}
 
@@ -375,11 +410,7 @@ def drop_columns(
     dropped = sorted(idx)
     dropped_set = set(dropped)
     keep = [c for c in range(design.cols) if c not in dropped_set]
-    kept = SignMatrix(design.entries[:, keep], tuple(design.labels[c] for c in keep))
-    removed = SignMatrix(
-        design.entries[:, dropped], tuple(design.labels[c] for c in dropped)
-    )
-    return kept, removed
+    return design.take(keep), design.take(dropped)
 
 
 def verify_oa_strength2(design: SignMatrix) -> bool:
@@ -403,18 +434,23 @@ def aliasing_report(design: SignMatrix) -> AliasedPairs:
     An empty result certifies that every pair is only partially aliased.
     """
     # Bit r of a column's key is set where its canonical form has -1 in row r.
-    packed = np.packbits(design.entries != design.entries[0], axis=0)
-    keys = np.ascontiguousarray(packed.T).view(f"V{packed.shape[0]}").ravel().tolist()
-    if len(set(keys)) == design.cols:
+    keys = _packed_rows(np.ascontiguousarray((design.entries != design.entries[0]).T))
+    # A stable sort lists each group of equal keys in increasing column order.
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    opens_group = np.ones(design.cols, dtype=bool)
+    opens_group[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    starts = np.flatnonzero(opens_group)
+    if len(starts) == design.cols:
         return AliasedPairs(_NO_PAIRS, _NO_PAIRS, _NO_PAIRS, design.labels)
-    groups: dict[bytes, list[int]] = {}
-    for c, key in enumerate(keys):
-        groups.setdefault(key, []).append(c)
-    # Each group lists its columns in increasing order, so its upper-triangle
-    # pairs have i < j.
-    pairs = [np.array(g)[np.stack(np.triu_indices(len(g), 1))] for g in groups.values()]
-    i, j = np.concatenate(pairs, axis=1)
-    order = np.lexsort((j, i))
-    i, j = i[order], j[order]
+    # Sorted position p pairs with the later members of its group, p+1 .. end-1.
+    ends = np.repeat(np.append(starts[1:], design.cols), np.diff(starts, append=design.cols))
+    later = ends - np.arange(design.cols) - 1
+    first = np.repeat(np.arange(design.cols), later)
+    offsets = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    i, j = order[first], order[first + 1 + offsets]
+    # Pairs sharing i are consecutive with j increasing, so sorting by i suffices.
+    by_i = np.argsort(i, kind="stable")
+    i, j = i[by_i], j[by_i]
     signs = design.entries[0].astype(np.int64)
     return AliasedPairs(i, j, design.rows * signs[i] * signs[j], design.labels)

@@ -7,7 +7,12 @@ order, is the identity n^2 * A_s = sum of J_s^2 over all s-subsets.
 
 Every squared-J sum, plain or filtered, runs through one kernel that visits
 every subset once: it XORs the columns' -1 bits, packed in as many uint64
-words as n needs, in fixed-size chunks, and popcounts the result.
+words as n needs, in fixed-size chunks, and popcounts the result. In tally
+mode the same pass also adds each subset's popcount to the histogram of each
+column (or column pair) it contains, so one enumeration of the s-subsets
+gives every filtered sum with one or two fixed columns
+(:func:`anchored_j_squared_sums`); the tables must sum to C(s, 1) or C(s, 2)
+times the plain sum.
 
 J sums are exact integers; distributions and wordlength patterns are exact
 rationals.
@@ -170,20 +175,34 @@ def _squares(n: int) -> np.ndarray:
     return (n - 2 * np.arange(n + 1, dtype=np.int64)) ** 2
 
 
-def _sum_squared_j(words: np.ndarray, base: np.ndarray | int, n: int, k: int) -> int:
+def _sum_squared_j(
+    words: np.ndarray, base: np.ndarray | int, n: int, k: int, anchors: int = 0
+):
     """Exhaustive sum of J^2 over every k-subset S of the rows of ``words``,
     where J = n - 2 * popcount(base ^ XOR of the rows in S); 0 if k > rows.
 
     Each subset's XOR is one prefix row XOR one suffix row, formed _CHUNK
     subsets at a time. Plans of k <= 4 (halves of at most two indices) are
     cached; larger ones are rebuilt per call. Nothing here writes to a plan.
+
+    Tally mode (``anchors`` = 1 or 2) returns (sum, table) instead: the same
+    pass adds each subset's popcount to the histogram of every row (or row
+    pair a < b) in it, and table[a] (or table[a, b]) is the sum of J^2 over
+    the subsets that contain it; entries on and below the diagonal of the
+    pair table are 0.
     """
     plan = _small_plan if k <= 4 else _build_plan
-    prefixes, suffixes, bounds, shift = plan(words.shape[0], k)
+    r = words.shape[0]
+    prefixes, suffixes, bounds, shift = plan(r, k)
     prefix = np.bitwise_xor.reduce(words[prefixes], axis=1) ^ base
     suffix = np.bitwise_xor.reduce(words[suffixes], axis=1)
     subsets = int(bounds[-1])
-    total = 0
+    histogram = np.zeros(n + 1, dtype=np.int64)
+    cells = np.zeros(r**anchors * (n + 1) if anchors else 0, dtype=np.int64)
+    # Bins wait until they outnumber the cells, so each bincount pays for
+    # its zeroed output at most once over.
+    pending: list[np.ndarray] = []
+    waiting = 0
     for start in range(0, subsets, _CHUNK):
         stop = min(start + _CHUNK, subsets)
         # Prefixes first-1 .. last-1 own the chunk; trim the outer two runs.
@@ -195,8 +214,25 @@ def _sum_squared_j(words: np.ndarray, base: np.ndarray | int, n: int, k: int) ->
         pairs = np.arange(start, stop) + shift[owners].repeat(runs)
         xor = prefix[owners].repeat(runs, axis=0) ^ suffix[pairs]
         popcounts = np.bitwise_count(xor).sum(axis=1, dtype=np.intp)
-        total += int(np.bincount(popcounts, minlength=n + 1) @ _squares(n))
-    return total
+        histogram += np.bincount(popcounts, minlength=n + 1)
+        if anchors:
+            # rows[t] holds each subset's t-th smallest row index: the
+            # reversed prefix then the suffix is in increasing order, so
+            # position pairs t < u give row pairs a < b.
+            rows = [h.repeat(runs) for h in prefixes[owners].T[::-1]]
+            rows += [suffixes[pairs, t] for t in range(suffixes.shape[1])]
+            for group in itertools.combinations(rows, anchors):
+                cell = group[0] if anchors == 1 else group[0] * r + group[1]
+                pending.append(cell * (n + 1) + popcounts)
+                waiting += len(popcounts)
+                if waiting >= len(cells) or stop == subsets:
+                    cells += np.bincount(np.concatenate(pending), minlength=len(cells))
+                    pending, waiting = [], 0
+    total = int(histogram @ _squares(n))
+    if not anchors:
+        return total
+    table = cells.reshape(-1, n + 1) @ _squares(n)
+    return total, table.reshape((r,) * anchors)
 
 
 def sum_j_squared(design: SignMatrix, s: int) -> int:
@@ -211,6 +247,36 @@ def sum_j_squared(design: SignMatrix, s: int) -> int:
     if s not in sums:
         sums[s] = _sum_squared_j(design.neg_words, 0, design.rows, s)
     return sums[s]
+
+
+def anchored_j_squared_sums(design: SignMatrix, s: int, anchors: int) -> np.ndarray:
+    """Every filtered sum of order s with 1 or 2 fixed columns, from one
+    exhaustive enumeration of the s-subsets.
+
+    With ``anchors`` = 1, entry [c] is the sum of J_s(S)^2 over the s-subsets
+    that contain column c; with ``anchors`` = 2, entry [a, b] for a < b is the
+    sum over those that contain both (0 on and below the diagonal). Each
+    subset adds to C(s, anchors) entries, so the table sums to C(s, anchors)
+    times the plain sum of order s; a table that does not raises
+    ArithmeticError. Each design instance enumerates each (s, anchors) once.
+    """
+    if anchors not in (1, 2):
+        raise ValueError(f"anchors must be 1 or 2, got {anchors}")
+    if s <= anchors:
+        raise ValueError(f"order s must exceed the anchor count, got s={s}")
+    sums = design.j_squared_sums
+    key = (s, anchors)
+    if key not in sums:
+        total, table = _sum_squared_j(design.neg_words, 0, design.rows, s, anchors)
+        plain = sums.setdefault(s, total)
+        if int(table.sum()) != math.comb(s, anchors) * plain:
+            raise ArithmeticError(
+                f"anchored J^2 tally of order {s} sums to {int(table.sum())}, "
+                f"not C({s}, {anchors}) * {plain}"
+            )
+        table.flags.writeable = False
+        sums[key] = table
+    return sums[key]
 
 
 def sum_j_squared_filtered(
@@ -237,15 +303,16 @@ def d_parameter(t1, t2, t3) -> int:
     d = (n + J_3) / 8. A non-integral value means the triple does not arise
     that way, and is reported as an error.
     """
-    cols = [np.asarray(t).ravel() for t in (t1, t2, t3)]
-    n = cols[0].shape[0]
-    if any(c.shape[0] != n for c in cols):
+    cols = [np.ravel(t) for t in (t1, t2, t3)]
+    n = len(cols[0])
+    if len(cols[1]) != n or len(cols[2]) != n:
         raise ValueError("the three columns must have equal length")
     if n % 4 != 0:
         raise ValueError(f"column length must be a multiple of 4, got {n}")
-    if any(not np.all((c == 1) | (c == -1)) for c in cols):
+    stack = np.stack(cols)
+    if not np.all((stack == 1) | (stack == -1)):
         raise ValueError("columns must have entries +1 or -1")
-    j3 = int(np.sum(cols[0] * cols[1] * cols[2]))
+    j3 = int(stack.prod(axis=0, dtype=np.int64).sum())
     if (n + j3) % 8 != 0:
         raise ValueError(
             "triple does not decompose into half-fraction replicates "

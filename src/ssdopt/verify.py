@@ -25,7 +25,7 @@ from .builder import (
 )
 from .core import SignMatrix, drop_columns, hadamard_design
 from .es2 import es2_closed_form, verdict
-from .spectral import d_parameter, sum_j_squared, sum_j_squared_filtered
+from .spectral import anchored_j_squared_sums, d_parameter, sum_j_squared
 
 
 @dataclass(frozen=True)
@@ -129,55 +129,54 @@ def verify_lemma1(
     return results
 
 
+def _anchored(design: SignMatrix, anchors: int, *cols: int) -> tuple[int, int]:
+    """Filtered J^2 sums of orders 3 and 4 through ``cols``, read off the
+    design's anchored tables (:func:`anchored_j_squared_sums`)."""
+    return tuple(int(anchored_j_squared_sums(design, s, anchors)[cols]) for s in (3, 4))
+
+
 def verify_lemma2(
     n: int, construction: str = "auto", cap: int | None = 500
 ) -> list[CheckResult]:
     """Items 1-10: filtered J sums against the closed forms, for every
     admissible (deletion set, specific column) combination up to the cap.
 
-    d follows the removed-columns-first convention: the defining triple is
-    the removed columns extended by the specific columns until it has size 3.
+    Every filtered sum is read off the anchored tables of its design: one
+    exhaustive enumeration per (design, order, anchor count), checked by the
+    tables' sum identity. d follows the removed-columns-first convention: the
+    defining triple is the removed columns extended by the specific columns
+    until it has size 3.
     """
     saturated = hadamard_design(n, construction)
     q = saturated.cols
     results = []
+    half_n4 = Fraction(n * n * (n - 4), 2)
 
     for i0 in _capped(range(q), cap):
         context = f"i0={saturated.labels[i0]}"
+        f3, f4 = _anchored(saturated, 1, i0)
         results.append(
             _result("lemma2.item1", n, context,
-                    Fraction(n * n * (n - 2), 2),
-                    sum_j_squared_filtered(saturated, 3, [i0]))
+                    Fraction(n * n * (n - 2), 2), f3)
         )
         results.append(
             _result("lemma2.item6", n, context,
-                    Fraction(n * n * (n - 2) * (n - 4), 6),
-                    sum_j_squared_filtered(saturated, 4, [i0]))
+                    Fraction(n * n * (n - 2) * (n - 4), 6), f4)
         )
     for i0, j0 in _capped(itertools.combinations(range(q), 2), cap):
         context = f"i0={saturated.labels[i0]} j0={saturated.labels[j0]}"
-        results.append(
-            _result("lemma2.item4", n, context,
-                    n * n, sum_j_squared_filtered(saturated, 3, [i0, j0]))
-        )
-        results.append(
-            _result("lemma2.item9", n, context,
-                    Fraction(n * n * (n - 4), 2),
-                    sum_j_squared_filtered(saturated, 4, [i0, j0]))
-        )
+        f3, f4 = _anchored(saturated, 2, i0, j0)
+        results.append(_result("lemma2.item4", n, context, n * n, f3))
+        results.append(_result("lemma2.item9", n, context, half_n4, f4))
 
     singles = (((r1,), i0) for r1 in range(q) for i0 in range(q - 1))
     for (child, removed), i0 in _children(saturated, singles, cap):
         context = f"deleted={removed.labels[0]} i0={child.labels[i0]}"
-        results.append(
-            _result("lemma2.item2", n, context,
-                    Fraction(n * n * (n - 4), 2),
-                    sum_j_squared_filtered(child, 3, [i0]))
-        )
+        f3, f4 = _anchored(child, 1, i0)
+        results.append(_result("lemma2.item2", n, context, half_n4, f3))
         results.append(
             _result("lemma2.item7", n, context,
-                    Fraction(n * n * (n - 4) * (n - 5), 6),
-                    sum_j_squared_filtered(child, 4, [i0]))
+                    Fraction(n * n * (n - 4) * (n - 5), 6), f4)
         )
     pairs = (
         ((r1,), chosen)
@@ -190,14 +189,10 @@ def verify_lemma2(
             f"deleted={removed.labels[0]} i0={child.labels[i0]} "
             f"j0={child.labels[j0]} d={d}"
         )
+        f3, f4 = _anchored(child, 2, i0, j0)
+        results.append(_result("lemma2.item5", n, context, _u(n, d), f3))
         results.append(
-            _result("lemma2.item5", n, context,
-                    _u(n, d), sum_j_squared_filtered(child, 3, [i0, j0]))
-        )
-        results.append(
-            _result("lemma2.item10", n, context,
-                    Fraction(n * n * (n - 4), 2) - _u(n, d),
-                    sum_j_squared_filtered(child, 4, [i0, j0]))
+            _result("lemma2.item10", n, context, half_n4 - _u(n, d), f4)
         )
 
     doubles = (
@@ -211,15 +206,13 @@ def verify_lemma2(
             "deleted=" + ",".join(str(lb) for lb in removed.labels)
             + f" i0={child.labels[i0]} d={d}"
         )
+        f3, f4 = _anchored(child, 1, i0)
         results.append(
-            _result("lemma2.item3", n, context,
-                    Fraction(n * n * (n - 4), 2) - _u(n, d),
-                    sum_j_squared_filtered(child, 3, [i0]))
+            _result("lemma2.item3", n, context, half_n4 - _u(n, d), f3)
         )
         results.append(
             _result("lemma2.item8", n, context,
-                    Fraction(n * n * (n - 4) * (n - 8), 6) + _u(n, d),
-                    sum_j_squared_filtered(child, 4, [i0]))
+                    Fraction(n * n * (n - 4) * (n - 8), 6) + _u(n, d), f4)
         )
     return results
 

@@ -227,6 +227,14 @@ class TestVerifyCommands:
         assert code == 2
         assert "40" in stderr
 
+    @pytest.mark.parametrize("command", ["verify-lemmas", "verify-theorems"])
+    def test_unreachable_n_exits_2_before_any_output(self, capsys, command):
+        code, stdout, stderr = run([command, "--n", "12", "40", "--cap", "1"], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        assert "40" in stderr
+
     def test_failures_produce_machine_readable_list(self, capsys):
         from ssdopt.cli import _finish_verification, _print_results
         from ssdopt.verify import CheckResult
@@ -271,9 +279,26 @@ class TestCertificationFailure:
             "inner-product and J-characteristic routes disagree\n"
         )
 
+    def test_corrupt_anchored_tally_exits_3(self, capsys, monkeypatch):
+        import ssdopt.spectral
+
+        real_kernel = ssdopt.spectral._sum_squared_j
+
+        def corrupt(words, base, n, k, anchors=0):
+            out = real_kernel(words, base, n, k, anchors)
+            if anchors:
+                out[1].flat[-1] += 4
+            return out
+
+        monkeypatch.setattr(ssdopt.spectral, "_sum_squared_j", corrupt)
+        code, _, stderr = run(["verify-lemmas", "--n", "12", "--cap", "1"], capsys)
+        assert code == 3
+        assert "certification failed" in stderr and "anchored" in stderr
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+

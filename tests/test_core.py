@@ -7,6 +7,7 @@ from ssdopt import (
     ColumnLabel,
     SignMatrix,
     aliasing_report,
+    build_full,
     drop_columns,
     hadamard_design,
     hadamard_matrix,
@@ -83,6 +84,50 @@ class TestSignMatrix:
             for r in range(m.rows):
                 bit = (int(m.neg_words[c, r // 64]) >> (r % 64)) & 1
                 assert bit == (1 if m.entries[r, c] == -1 else 0)
+
+
+class TestRowGram:
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n", [1, 7, 64, 130])
+    def test_packed_equals_int64_matmul(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        design = SignMatrix.with_main_labels(rng.choice([-1, 1], size=(n, m)))
+        wide = design.entries.astype(np.int64)
+        assert np.array_equal(design.row_gram(), wide @ wide.T)
+
+    def test_row_blocks_cover_every_row(self, monkeypatch):
+        import ssdopt.core
+
+        design = SignMatrix.with_main_labels(
+            np.random.default_rng(3).choice([-1, 1], size=(130, 130))
+        )
+        expected = design.row_gram()
+        # Three words per row, so each block holds a single row.
+        monkeypatch.setattr(ssdopt.core, "_GRAM_WORDS", 130 * 3)
+        assert np.array_equal(design.row_gram(), expected)
+
+
+class TestTake:
+    def test_equals_a_validated_selection(self):
+        design = build_full(hadamard_design(12)).design
+        positions = [60, 0, 13, 65, 11]
+        taken = design.take(positions)
+        validated = SignMatrix(
+            design.entries[:, positions], tuple(design.labels[p] for p in positions)
+        )
+        assert np.array_equal(taken.entries, validated.entries)
+        assert taken.entries.dtype == validated.entries.dtype
+        assert taken.labels == validated.labels
+        assert taken.label_position(design.labels[13]) == 2
+
+    def test_entries_are_read_only(self):
+        taken = hadamard_design(12).take([1, 2])
+        with pytest.raises(ValueError):
+            taken.entries[0, 0] = -1
+
+    def test_empty_selection(self):
+        taken = hadamard_design(12).take([])
+        assert taken.entries.shape == (12, 0) and taken.labels == ()
 
 
 class TestSylvester:
@@ -208,10 +253,9 @@ class TestDropColumns:
 
     def test_rejects_bad_indices(self):
         design = hadamard_design(12)
-        with pytest.raises(ValueError):
-            drop_columns(design, [11])
-        with pytest.raises(ValueError):
-            drop_columns(design, [3, 3])
+        for indices in ([11], [-1], [3, 3], [0, 11, 2], [2, 5, 2]):
+            with pytest.raises(ValueError):
+                drop_columns(design, indices)
 
 
 class TestInteractionColumn:
@@ -317,6 +361,18 @@ class TestAliasingReport:
         report = aliasing_report(design)
         assert pair_columns(report) == ([0], [1], [-130], design.labels)
         assert pair_columns(report) == pair_columns(aliasing_scan(design))
+
+    def test_sylvester_16_full_groups_of_eight(self):
+        # Every interaction of a Sylvester design equals a main column up to
+        # sign: 15 groups of 8 equal columns give 15 * C(8, 2) pairs.
+        design = build_full(hadamard_design(16, "sylvester")).design
+        report = aliasing_report(design)
+        assert len(report) == 15 * 28
+        assert pair_columns(report) == pair_columns(aliasing_scan(design))
+        groups = {}
+        for i, j in zip(report.i.tolist(), report.j.tolist()):
+            groups.setdefault(i, set()).add(j)
+        assert sorted(len(g) for i, g in groups.items() if i < 15) == [7] * 15
 
     def test_inner_product_parity_invariant(self):
         rng = np.random.default_rng(7)

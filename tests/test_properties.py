@@ -20,6 +20,7 @@ import ssdopt.spectral
 from ssdopt import (
     SignMatrix,
     aliasing_report,
+    anchored_j_squared_sums,
     build_full,
     build_minus_one,
     design_csv_text,
@@ -182,6 +183,39 @@ def test_filtered_kernel_equals_extension_loop(design, data):
                 assert kernel == expected
                 if k:
                     assert sum_j_squared_filtered(design, f + k, fixed) == expected
+
+
+@given(random_designs(min_cols=3, max_cols=8))
+@example(
+    SignMatrix.with_main_labels(
+        np.random.default_rng(130).choice(np.array([-1, 1], dtype=np.int8), (130, 7))
+    )
+)
+def test_anchored_tables_equal_filtered_sums_and_extension_loop(design):
+    # s = 5 runs the plan that is rebuilt per call (k > 4).
+    q, n, masks = design.cols, design.rows, neg_masks_loop(design)
+    for chunk in CHUNKS:
+        with mock.patch.object(ssdopt.spectral, "_CHUNK", chunk):
+            fresh = SignMatrix(design.entries, design.labels)
+            for anchors, s in itertools.product((1, 2), (3, 4, 5)):
+                table = anchored_j_squared_sums(fresh, s, anchors)
+                assert table.shape == (q,) * anchors
+                for fixed in itertools.combinations(range(q), anchors):
+                    rest = [m for c, m in enumerate(masks) if c not in fixed]
+                    base = functools.reduce(operator.xor, (masks[c] for c in fixed))
+                    expected = sum_over_extensions_loop(rest, base, n, s - anchors)
+                    assert table[fixed] == expected
+                    if chunk == ssdopt.spectral._CHUNK:
+                        assert sum_j_squared_filtered(design, s, fixed) == expected
+                if anchors == 2:
+                    assert not np.tril(table).any()
+
+
+@given(designs)
+@example(SignMatrix.with_main_labels(-np.ones((130, 65), dtype=np.int8)))
+def test_packed_row_gram_equals_int64_matmul(design):
+    wide = design.entries.astype(np.int64)
+    assert np.array_equal(design.row_gram(), wide @ wide.T)
 
 
 @given(random_designs(max_cols=8))

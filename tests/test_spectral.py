@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ssdopt.spectral
 from ssdopt import (
     SignMatrix,
+    anchored_j_squared_sums,
     d_parameter,
     distance_distribution,
     drop_columns,
@@ -18,6 +20,7 @@ from ssdopt import (
     sum_j_squared_filtered,
     sylvester_hadamard,
     to_hadamard_design,
+    verify_lemma2,
 )
 
 
@@ -257,6 +260,91 @@ class TestSumJSquaredFiltered:
             sum_j_squared_filtered(design, 3, [0, 1, 2])
         with pytest.raises(ValueError):
             sum_j_squared_filtered(design, 2, [0, 1])
+
+
+def counting_kernel(monkeypatch, corrupt=False):
+    """Patch the enumeration kernel to log (rows, k, anchors) per call; with
+    ``corrupt``, add 1 to the first cell of every anchored table."""
+    calls = []
+    real_kernel = ssdopt.spectral._sum_squared_j
+
+    def kernel(words, base, n, k, anchors=0):
+        calls.append((words.shape[0], k, anchors))
+        out = real_kernel(words, base, n, k, anchors)
+        if corrupt and anchors:
+            total, table = out
+            table.flat[anchors - 1] += 1
+        return out
+
+    monkeypatch.setattr(ssdopt.spectral, "_sum_squared_j", kernel)
+    return calls
+
+
+class TestAnchoredSums:
+    def test_saturated_closed_forms(self):
+        design = hadamard_design(12)
+        assert anchored_j_squared_sums(design, 3, 1).tolist() == [720] * 11
+        assert anchored_j_squared_sums(design, 4, 1).tolist() == [144 * 10 * 8 // 6] * 11
+        pairs = anchored_j_squared_sums(design, 3, 2)
+        upper = np.triu(np.ones((11, 11), dtype=bool), 1)
+        assert np.all(pairs[upper] == 144) and not pairs[~upper].any()
+
+    def test_each_instance_enumerates_each_table_once(self, monkeypatch):
+        calls = counting_kernel(monkeypatch)
+        design = hadamard_design(12)
+        for _ in range(2):
+            for s, anchors in itertools.product((3, 4), (1, 2)):
+                anchored_j_squared_sums(design, s, anchors)
+        # The tally's plain sum is the order's memo too.
+        assert sum_j_squared(design, 3) == 2640
+        assert calls == [(11, 3, 1), (11, 3, 2), (11, 4, 1), (11, 4, 2)]
+        anchored_j_squared_sums(hadamard_design(12), 3, 1)
+        assert len(calls) == 5
+
+    def test_tables_sum_to_binomial_times_plain_sum(self):
+        design, _ = drop_columns(hadamard_design(16), [3])
+        for s, anchors in itertools.product((3, 4, 5), (1, 2)):
+            table = anchored_j_squared_sums(design, s, anchors)
+            assert int(table.sum()) == math.comb(s, anchors) * sum_j_squared(design, s)
+
+    @pytest.mark.parametrize("anchors", [1, 2])
+    def test_corrupted_cell_fails_the_identity(self, monkeypatch, anchors):
+        counting_kernel(monkeypatch, corrupt=True)
+        with pytest.raises(ArithmeticError, match="C\\(3, "):
+            anchored_j_squared_sums(hadamard_design(12), 3, anchors)
+
+    def test_identity_uses_an_earlier_plain_sum(self):
+        design = hadamard_design(12)
+        design.j_squared_sums[3] = 2640 + 1
+        with pytest.raises(ArithmeticError, match="2641"):
+            anchored_j_squared_sums(design, 3, 1)
+
+    def test_tables_are_read_only(self):
+        table = anchored_j_squared_sums(hadamard_design(12), 3, 2)
+        with pytest.raises(ValueError):
+            table[0, 1] = 0
+
+    def test_order_above_columns_gives_zero_tables(self):
+        design = SignMatrix.with_main_labels(np.ones((4, 3), dtype=np.int8))
+        assert anchored_j_squared_sums(design, 4, 1).tolist() == [0, 0, 0]
+        assert not anchored_j_squared_sums(design, 5, 2).any()
+
+    def test_rejects_bad_arguments(self):
+        design = hadamard_design(12)
+        for s, anchors in ((3, 0), (3, 3), (1, 1), (2, 2)):
+            with pytest.raises(ValueError):
+                anchored_j_squared_sums(design, s, anchors)
+
+    def test_lemma2_reads_no_filtered_sum(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_lemma2 called sum_j_squared_filtered")
+
+        monkeypatch.setattr(ssdopt.spectral, "sum_j_squared_filtered", forbidden)
+        monkeypatch.setattr(
+            ssdopt.verify, "sum_j_squared_filtered", forbidden, raising=False
+        )
+        results = verify_lemma2(12)
+        assert len(results) == 2332 and all(r.ok for r in results)
 
 
 class TestDParameter:
