@@ -12,10 +12,12 @@ array's main-effect columns and two-column interactions:
 Column order is always mains first, then interactions lexicographically by
 column-position pair, so rebuilding with the same inputs is byte-identical.
 
-:data:`FAMILIES` holds each family's closed-form E(s^2) per covered deficit
-k (q = n - k); a build accepts exactly those deficits. Each build records the
-J-characteristic terms of the columns it chose (:attr:`SsdBuild.j_terms`),
-from which ``es2.es2_via_j`` recomputes E(s^2) without knowing the family.
+:data:`FAMILIES` holds, in theorem order, one :class:`Cell` per family and
+covered deficit k (q = n - k): the cell's exact E(s^2), the lower bound the
+paper displays for it and the displayed gap between the two. A build accepts
+exactly the covered deficits. Each build records the J-characteristic terms
+of the columns it chose (:attr:`SsdBuild.j_terms`), from which
+``es2.es2_via_j`` recomputes E(s^2) without knowing the family.
 """
 
 from __future__ import annotations
@@ -34,33 +36,76 @@ INTERACTIONS_ONLY = "interactions-only"
 SINGLE_PARENT = "single-parent"
 
 
-def _single_parent_n3(n: int, d: int | None) -> Fraction:
-    if d is None:
-        raise ValueError("single-parent at q = n - 3 needs d")
-    return Fraction(n**3 - 4 * n**2 - 32 * n * d + 128 * d * d, (2 * n - 7) * (n - 4))
+#: A claimed value as a function of (n, d); d is None when a build has none.
+_Value = Callable[[int, int | None], Fraction]
 
 
-#: kind -> {deficit k covered at q = n - k: closed-form E(s^2) as f(n, d)}.
-#: Only the single-parent value at k = 3 uses the build's d.
-FAMILIES: dict[str, dict[int, Callable[[int, int | None], Fraction]]] = {
+def _needs_d(form: Callable[[int, int], Fraction]) -> _Value:
+    """``form`` as a value that rejects a build without d."""
+    def value(n: int, d: int | None) -> Fraction:
+        if d is None:
+            raise ValueError("single-parent at q = n - 3 needs d")
+        return form(n, d)
+    return value
+
+
+@dataclass(frozen=True)
+class Cell:
+    """The claims of one theorem cell (family, q = n - k): its exact E(s^2),
+    the lower bound it displays and its displayed gap E(s^2) - bound, 0 for a
+    cell that meets its bound. Only the single-parent cell at k = 3 uses d."""
+
+    es2: _Value
+    bound: Callable[[int], Fraction]
+    gap: _Value = lambda n, d: Fraction(0)
+
+
+def _optimal(value: Callable[[int], Fraction]) -> Cell:
+    """A cell that meets its bound: one value is both its E(s^2) and its bound."""
+    return Cell(lambda n, d: value(n), value)
+
+
+#: kind -> {deficit k covered at q = n - k: that cell's claims}, in theorem
+#: order: theorem i states the cells of the i-th kind.
+FAMILIES: dict[str, dict[int, Cell]] = {
     FULL: {
-        1: lambda n, d: Fraction(n * n, n + 1),
-        2: lambda n, d: Fraction(n * (n - 4), n - 3),
-        3: lambda n, d: Fraction(n * n * (n - 5), (n - 3) * (n - 1)),
+        1: _optimal(lambda n: Fraction(n * n, n + 1)),
+        2: _optimal(lambda n: Fraction(n * (n - 4), n - 3)),
+        3: _optimal(lambda n: Fraction(n * n * (n - 5), (n - 3) * (n - 1))),
     },
     MINUS_ONE: {
-        1: lambda n, d: Fraction(n * n, n + 1),
-        2: lambda n, d: Fraction(n * (n - 4), n - 3),
+        1: _optimal(lambda n: Fraction(n * n, n + 1)),
+        2: _optimal(lambda n: Fraction(n * (n - 4), n - 3)),
     },
     INTERACTIONS_ONLY: {
-        1: lambda n, d: Fraction(n * (n - 4), n - 3),
-        2: lambda n, d: Fraction(n * n * (n - 5), (n - 1) * (n - 3)),
-        3: lambda n, d: Fraction(n * n * (n - 6), (n - 2) * (n - 3)),
+        1: _optimal(lambda n: Fraction(n * (n - 4), n - 3)),
+        2: _optimal(lambda n: Fraction(n * n * (n - 5), (n - 1) * (n - 3))),
+        3: Cell(
+            es2=lambda n, d: Fraction(n * n * (n - 6), (n - 2) * (n - 3)),
+            bound=lambda n: Fraction(
+                n * (n**3 - 13 * n**2 + 48 * n - 32), (n - 3) * (n - 4) * (n - 5)
+            ),
+            gap=lambda n, d: Fraction(
+                8 * n * (n - 8), (n - 2) * (n - 3) * (n - 4) * (n - 5)
+            ),
+        ),
     },
     SINGLE_PARENT: {
-        1: lambda n, d: Fraction(n * n, 2 * n - 3),
-        2: lambda n, d: Fraction(n * n * (n - 4), (2 * n - 5) * (n - 3)),
-        3: _single_parent_n3,
+        1: _optimal(lambda n: Fraction(n * n, 2 * n - 3)),
+        2: Cell(
+            es2=lambda n, d: Fraction(n * n * (n - 4), (2 * n - 5) * (n - 3)),
+            bound=lambda n: Fraction(n * (n**2 - 5 * n + 8), (2 * n - 5) * (n - 3)),
+            gap=lambda n, d: Fraction(n * n - 8 * n, (2 * n - 5) * (n - 3)),
+        ),
+        3: Cell(
+            es2=_needs_d(lambda n, d: Fraction(
+                n**3 - 4 * n**2 - 32 * n * d + 128 * d * d, (2 * n - 7) * (n - 4)
+            )),
+            bound=lambda n: Fraction(n * (n - 4), 2 * n - 7),
+            gap=_needs_d(lambda n, d: Fraction(
+                4 * n * n + 128 * d * d - 32 * n * d - 16 * n, (n - 4) * (2 * n - 7)
+            )),
+        ),
     },
 }
 
@@ -136,11 +181,6 @@ def _require_start(start: SignMatrix, kind: str, what: str) -> None:
         raise ValueError("starting array is not an orthogonal array of strength 2")
 
 
-def _select(start: SignMatrix, positions: list[int]) -> SignMatrix:
-    """Columns of the start's full augmentation (built once per start), by position."""
-    return start.augmented.take(positions)
-
-
 def _pair_position(q: int, u: int, v: int) -> int:
     """Position of the interaction of columns u < v in the full augmentation."""
     return q + u * (2 * q - u - 1) // 2 + (v - u - 1)
@@ -174,7 +214,7 @@ def build_minus_one(
         pos = full.label_position(delete)
     except ValueError:
         raise ValueError(f"{delete} is not a column of the full augmentation") from None
-    design = _select(start, [c for c in range(full.cols) if c != pos])
+    design = full.take([c for c in range(full.cols) if c != pos])
     d = None
     if delete.is_interaction:
         pa = start.label_position(ColumnLabel.main(delete.i))
@@ -190,7 +230,7 @@ def build_minus_one(
 def build_interactions_only(start: SignMatrix) -> SsdBuild:
     """Keep only the C(q, 2) two-column interactions of the starting array."""
     _require_start(start, INTERACTIONS_ONLY, "interactions-only construction")
-    design = _select(start, list(range(start.cols, start.augmented.cols)))
+    design = start.augmented.take(list(range(start.cols, start.augmented.cols)))
     return SsdBuild(design, start, SsdFamily.interactions_only(), ((6, 4, ()),))
 
 
@@ -213,7 +253,7 @@ def build_single_parent(
         for v in range(q)
         if v != parent
     ]
-    design = _select(start, list(range(q)) + sorted(interactions))
+    design = start.augmented.take(list(range(q)) + sorted(interactions))
     d = None
     if start.rows - start.cols == 3 and removed is not None and removed.cols == 2:
         d = d_parameter(removed.column(0), removed.column(1), start.column(parent))

@@ -365,24 +365,23 @@ def hadamard_matrix(
     paley_p = None
     if _is_prime(n - 1) and (n - 1) % 4 == 3:
         paley_p = n - 1
-    elif n % 2 == 0 and _is_prime(n // 2 - 1) and (n // 2 - 1) % 4 == 1:
+    elif _is_prime(n // 2 - 1) and (n // 2 - 1) % 4 == 1:
         paley_p = n // 2 - 1
+    k = n.bit_length() - 1
     if construction == "paley":
         if paley_p is None:
             raise ValueError(f"no Paley construction reaches order {n}")
         return paley_hadamard(paley_p, max_order)
     if construction == "sylvester":
-        k = n.bit_length() - 1
         if 2**k != n:
             raise ValueError(f"order {n} is not a power of two")
-        return normalize(sylvester_hadamard(k, max_order))
-    if construction != "auto":
+    elif construction != "auto":
         raise ValueError(f"unknown construction {construction!r}")
-    if paley_p is not None:
+    elif paley_p is not None:
         return paley_hadamard(paley_p, max_order)
-    if 2 ** (n.bit_length() - 1) == n:
-        return normalize(sylvester_hadamard(n.bit_length() - 1, max_order))
-    raise ValueError(f"no implemented construction reaches order {n}")
+    elif 2**k != n:
+        raise ValueError(f"no implemented construction reaches order {n}")
+    return normalize(sylvester_hadamard(k, max_order))
 
 
 def hadamard_design(

@@ -6,7 +6,7 @@ computed two ways that must agree exactly: directly from the inner products
 through the J-characteristics of the starting array, summing the terms
 each build records for the columns it chose (each nonzero J_3 and J_4 value
 appears six times in X^T X for a full augmentation). Closed-form values
-are looked up in ``builder.FAMILIES``.
+are the ``es2`` of each cell in ``builder.FAMILIES``.
 
 The lower bound applies to balanced designs with n = 0 (mod 4) and m =
 a(n-1) +/- r columns, a >= 1 and 0 <= r <= n/2:
@@ -61,14 +61,14 @@ def es2_via_j(build: SsdBuild) -> Fraction:
 def es2_closed_form(
     family: SsdFamily, n: int, q: int, d: int | None = None
 ) -> Fraction:
-    """The exact E(s^2) value of a covered (family, n, q) cell, from
-    :data:`builder.FAMILIES`; the single-parent value at q = n-3 needs d."""
+    """The exact E(s^2) of a covered (family, n, q) cell, the ``es2`` of its
+    :data:`builder.FAMILIES` cell; the single-parent one at q = n-3 needs d."""
     forms = FAMILIES[family.kind]
     if n - q not in forms:
         raise ValueError(
             f"no closed form for family {family.kind!r} at q = n - {n - q}"
         )
-    return forms[n - q](n, d)
+    return forms[n - q].es2(n, d)
 
 
 def D_of(n: int, r: int) -> int:
@@ -179,17 +179,19 @@ def verdict(build: SsdBuild) -> OptimalityReport:
         raise ArithmeticError(
             f"inner-product and J-characteristic routes disagree: {es2} vs {via_j}"
         )
+    notes = []
     try:
         closed = es2_closed_form(build.family, n, build.start.cols, build.d)
     except ValueError:
-        closed = None
-    notes = []
-    if closed is not None and closed != es2:
-        raise ArithmeticError(
-            f"closed form {closed} disagrees with computed E(s^2) {es2}"
-        )
-    if closed is None:
-        notes.append("no closed form covers this cell")
+        if n - build.start.cols in FAMILIES[build.family.kind]:
+            notes.append("the closed form of this cell needs d, which was not recorded")
+        else:
+            notes.append("no closed form covers this cell")
+    else:
+        if closed != es2:
+            raise ArithmeticError(
+                f"closed form {closed} disagrees with computed E(s^2) {es2}"
+            )
     decs, chosen, lb = bound_details(n, m)
     gap = es2 - lb
     if gap < 0:

@@ -3,7 +3,8 @@
 The exhaustive J enumeration is the oracle of record; every closed form is a
 claim under test, never the oracle. Each check compares one enumeration
 against one closed form (or one verdict against its claimed value) and
-records the outcome.
+records the outcome. A theorem cell's claimed values are those of its
+``builder.FAMILIES`` cell, whose order is the theorems' order.
 
 Iteration over deletion sets and column choices is lexicographic; ``cap``
 bounds the number of checks per item (0 or None means exhaustive), so a
@@ -18,13 +19,18 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .builder import (
+    FAMILIES,
+    FULL,
+    MINUS_ONE,
+    SINGLE_PARENT,
+    SsdBuild,
     build_full,
     build_interactions_only,
     build_minus_one,
     build_single_parent,
 )
 from .core import SignMatrix, drop_columns, hadamard_design
-from .es2 import es2_closed_form, verdict
+from .es2 import verdict
 from .spectral import anchored_j_squared_sums, d_parameter, sum_j_squared
 
 
@@ -217,67 +223,19 @@ def verify_lemma2(
     return results
 
 
-def expected_lower_bound(kind: str, n: int, deficit: int) -> Fraction:
-    """The bound value each theorem case displays for its column count."""
-    if kind in ("full", "minus-one"):
-        if deficit == 1:
-            return Fraction(n * n, n + 1)
-        if deficit == 2:
-            return Fraction(n * (n - 4), n - 3)
-        if deficit == 3 and kind == "full":
-            return Fraction(n * n * (n - 5), (n - 3) * (n - 1))
-    if kind == "interactions-only":
-        if deficit == 1:
-            return Fraction(n * (n - 4), n - 3)
-        if deficit == 2:
-            return Fraction(n * n * (n - 5), (n - 1) * (n - 3))
-        if deficit == 3:
-            return Fraction(
-                n * (n**3 - 13 * n**2 + 48 * n - 32),
-                (n - 3) * (n - 4) * (n - 5),
-            )
-    if kind == "single-parent":
-        if deficit == 1:
-            return Fraction(n * n, 2 * n - 3)
-        if deficit == 2:
-            return Fraction(n * (n**2 - 5 * n + 8), (2 * n - 5) * (n - 3))
-        if deficit == 3:
-            return Fraction(n * (n - 4), 2 * n - 7)
-    raise ValueError(f"no displayed bound for {kind!r} at deficit {deficit}")
-
-
-def expected_gap(kind: str, n: int, deficit: int, d: int | None = None) -> Fraction:
-    """Displayed E(s^2) - bound gap of the non-optimal cells (0 elsewhere)."""
-    if kind == "interactions-only" and deficit == 3:
-        return Fraction(
-            8 * n * (n - 8), (n - 2) * (n - 3) * (n - 4) * (n - 5)
-        )
-    if kind == "single-parent" and deficit == 2:
-        return Fraction(n * n - 8 * n, (2 * n - 5) * (n - 3))
-    if kind == "single-parent" and deficit == 3:
-        return Fraction(
-            4 * n * n + 128 * d * d - 32 * n * d - 16 * n,
-            (n - 4) * (2 * n - 7),
-        )
-    return Fraction(0)
-
-
-def _check_cell(
-    results: list[CheckResult],
-    name: str,
-    n: int,
-    context: str,
-    report,
-    expected_es2: Fraction,
-    expected_lb: Fraction,
-    expected_gap_value: Fraction,
-) -> None:
-    results.append(_result(f"{name}.es2", n, context, expected_es2, report.es2))
-    results.append(_result(f"{name}.lb", n, context, expected_lb, report.lower_bound))
-    results.append(_result(f"{name}.gap", n, context, expected_gap_value, report.gap))
-    results.append(
-        _result(f"{name}.optimal", n, context, expected_gap_value == 0, report.optimal)
-    )
+def _choices(
+    kind: str, start: SignMatrix, removed: SignMatrix, cap: int | None
+) -> Iterator[tuple[str, SsdBuild]]:
+    """(context suffix, build) of each choice a family's theorem ranges over:
+    none, each deleted column or each parent factor (the last two capped)."""
+    if kind == MINUS_ONE:
+        for delete in _capped(start.augmented.labels, cap):
+            yield f" delete={delete}", build_minus_one(start, delete, removed)
+    elif kind == SINGLE_PARENT:
+        for p in _capped(range(start.cols), cap):
+            yield f" parent={start.labels[p]}", build_single_parent(start, p, removed)
+    else:
+        yield "", (build_full if kind == FULL else build_interactions_only)(start)
 
 
 _THEOREM_DEFICITS = (1, 2, 3)
@@ -297,7 +255,8 @@ def check_theorem_order(n: int) -> None:
 def verify_theorems(
     n: int, construction: str = "auto", cap: int | None = 500
 ) -> list[CheckResult]:
-    """Every covered (family, q, choice) cell against its claimed values.
+    """Every covered (family, q, choice) cell against the E(s^2), bound and
+    gap its :data:`builder.FAMILIES` cell states; theorem i is the i-th family.
 
     Starting arrays are the saturated design with the highest-index columns
     dropped. Theorem choice iteration (deleted column, parent factor) is
@@ -308,44 +267,18 @@ def verify_theorems(
     saturated = hadamard_design(n, construction)
     results: list[CheckResult] = []
     for deficit in _THEOREM_DEFICITS:
-        q = n - deficit
-        start, removed = drop_columns(saturated, list(range(q, n - 1)))
-        context = f"q=n-{deficit}"
-
-        full = build_full(start)
-        _check_cell(
-            results, "theorem1", n, context, verdict(full),
-            es2_closed_form(full.family, n, q, full.d),
-            expected_lower_bound("full", n, deficit),
-            Fraction(0),
-        )
-
-        if deficit <= 2:
-            for delete in _capped(full.design.labels, cap):
-                build = build_minus_one(start, delete, removed)
-                _check_cell(
-                    results, "theorem2", n, f"{context} delete={delete}",
-                    verdict(build), es2_closed_form(build.family, n, q, build.d),
-                    expected_lower_bound("minus-one", n, deficit),
-                    Fraction(0),
-                )
-
-        build = build_interactions_only(start)
-        _check_cell(
-            results, "theorem3", n, context, verdict(build),
-            es2_closed_form(build.family, n, q, build.d),
-            expected_lower_bound("interactions-only", n, deficit),
-            expected_gap("interactions-only", n, deficit),
-        )
-
-        for parent in _capped(range(start.cols), cap):
-            build = build_single_parent(start, parent, removed)
-            rep = verdict(build)
-            parent_context = f"{context} parent={start.labels[parent]}"
-            _check_cell(
-                results, "theorem4", n, parent_context, rep,
-                es2_closed_form(build.family, n, q, build.d),
-                expected_lower_bound("single-parent", n, deficit),
-                expected_gap("single-parent", n, deficit, build.d),
-            )
+        start, removed = drop_columns(saturated, list(range(n - deficit, n - 1)))
+        for number, (kind, cells) in enumerate(FAMILIES.items(), start=1):
+            if deficit not in cells:
+                continue
+            cell, name = cells[deficit], f"theorem{number}"
+            for suffix, build in _choices(kind, start, removed, cap):
+                context = f"q=n-{deficit}{suffix}"
+                report, gap = verdict(build), cell.gap(n, build.d)
+                results += [
+                    _result(f"{name}.es2", n, context, cell.es2(n, build.d), report.es2),
+                    _result(f"{name}.lb", n, context, cell.bound(n), report.lower_bound),
+                    _result(f"{name}.gap", n, context, gap, report.gap),
+                    _result(f"{name}.optimal", n, context, gap == 0, report.optimal),
+                ]
     return results

@@ -185,6 +185,65 @@ class TestEvaluate:
         assert len(payload["aliased_pairs"]) == 31248
 
 
+# The whole stdout of two default-cap verify runs: line order and check counts
+# are part of the output contract, not only the PASS status of each name.
+THEOREMS_12_16 = """\
+PASS theorem1.es2 n=12 checks=3 failures=0
+PASS theorem1.lb n=12 checks=3 failures=0
+PASS theorem1.gap n=12 checks=3 failures=0
+PASS theorem1.optimal n=12 checks=3 failures=0
+PASS theorem2.es2 n=12 checks=121 failures=0
+PASS theorem2.lb n=12 checks=121 failures=0
+PASS theorem2.gap n=12 checks=121 failures=0
+PASS theorem2.optimal n=12 checks=121 failures=0
+PASS theorem3.es2 n=12 checks=3 failures=0
+PASS theorem3.lb n=12 checks=3 failures=0
+PASS theorem3.gap n=12 checks=3 failures=0
+PASS theorem3.optimal n=12 checks=3 failures=0
+PASS theorem4.es2 n=12 checks=30 failures=0
+PASS theorem4.lb n=12 checks=30 failures=0
+PASS theorem4.gap n=12 checks=30 failures=0
+PASS theorem4.optimal n=12 checks=30 failures=0
+PASS theorem1.es2 n=16 checks=3 failures=0
+PASS theorem1.lb n=16 checks=3 failures=0
+PASS theorem1.gap n=16 checks=3 failures=0
+PASS theorem1.optimal n=16 checks=3 failures=0
+PASS theorem2.es2 n=16 checks=225 failures=0
+PASS theorem2.lb n=16 checks=225 failures=0
+PASS theorem2.gap n=16 checks=225 failures=0
+PASS theorem2.optimal n=16 checks=225 failures=0
+PASS theorem3.es2 n=16 checks=3 failures=0
+PASS theorem3.lb n=16 checks=3 failures=0
+PASS theorem3.gap n=16 checks=3 failures=0
+PASS theorem3.optimal n=16 checks=3 failures=0
+PASS theorem4.es2 n=16 checks=42 failures=0
+PASS theorem4.lb n=16 checks=42 failures=0
+PASS theorem4.gap n=16 checks=42 failures=0
+PASS theorem4.optimal n=16 checks=42 failures=0
+"""
+
+LEMMAS_12 = """\
+PASS lemma1.item1 n=12 checks=1 failures=0
+PASS lemma1.item5 n=12 checks=1 failures=0
+PASS lemma1.item2 n=12 checks=11 failures=0
+PASS lemma1.item6 n=12 checks=11 failures=0
+PASS lemma1.item3 n=12 checks=55 failures=0
+PASS lemma1.item7 n=12 checks=55 failures=0
+PASS lemma1.item4 n=12 checks=165 failures=0
+PASS lemma1.item8 n=12 checks=165 failures=0
+PASS lemma2.item1 n=12 checks=11 failures=0
+PASS lemma2.item6 n=12 checks=11 failures=0
+PASS lemma2.item4 n=12 checks=55 failures=0
+PASS lemma2.item9 n=12 checks=55 failures=0
+PASS lemma2.item2 n=12 checks=110 failures=0
+PASS lemma2.item7 n=12 checks=110 failures=0
+PASS lemma2.item5 n=12 checks=495 failures=0
+PASS lemma2.item10 n=12 checks=495 failures=0
+PASS lemma2.item3 n=12 checks=495 failures=0
+PASS lemma2.item8 n=12 checks=495 failures=0
+"""
+
+
 class TestVerifyCommands:
     def test_verify_lemmas_small_grid(self, capsys):
         code, stdout, _ = run(["verify-lemmas", "--n", "12", "--cap", "25"], capsys)
@@ -198,6 +257,15 @@ class TestVerifyCommands:
         assert code == 0
         assert "theorem4.gap" in stdout
         assert "FAIL" not in stdout
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["verify-theorems", "--n", "12", "16"], THEOREMS_12_16),
+         (["verify-lemmas", "--n", "12"], LEMMAS_12)],
+        ids=["verify-theorems", "verify-lemmas"],
+    )
+    def test_default_cap_stdout_is_pinned(self, capsys, argv, expected):
+        assert run(argv, capsys) == (0, expected, "")
 
     @pytest.mark.parametrize("command", ["verify-lemmas", "verify-theorems"])
     def test_negative_cap_exits_2(self, capsys, command):

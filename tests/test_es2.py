@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from ssdopt import (
+    FAMILIES,
     ColumnLabel,
     D_of,
     SignMatrix,
+    SsdBuild,
     SsdFamily,
+    bound_details,
     build_full,
     build_interactions_only,
     build_minus_one,
@@ -248,6 +251,26 @@ class TestVerdict:
         assert report.es2 == Fraction(16, 5)
         assert report.optimal
 
+    def test_single_parent_without_d_notes_the_missing_d(self):
+        # q = n - 3 is covered, but without ``removed`` the build has no d
+        start, _ = drop_columns(hadamard_design(12), [9, 10])
+        report = verdict(build_single_parent(start, 0))
+        assert report.d is None
+        assert report.notes.startswith(
+            "the closed form of this cell needs d, which was not recorded;"
+        )
+        assert "no closed form covers" not in report.notes
+
+    def test_uncovered_deficit_keeps_its_note(self):
+        # no theorem covers the full augmentation at q = n - 4, so only a
+        # hand-made build reaches the verdict there
+        start, _ = start_with_removed(12, 4)
+        terms = ((6, 3, ()), (6, 4, ()))
+        build = SsdBuild(start.augmented, start, SsdFamily.full(), terms)
+        report = verdict(build)
+        assert report.notes.startswith("no closed form covers this cell;")
+        assert report.es2 == es2_direct(start.augmented)
+
     def test_gap_never_negative_across_families(self):
         for n in (12, 16):
             for deficit in (1, 2, 3):
@@ -263,3 +286,32 @@ class TestVerdict:
                     report = verdict(build)
                     assert report.gap >= 0
                     assert report.es2 >= report.lower_bound
+
+
+def _columns(kind, q):
+    """Column count of a family's design on a q-column start."""
+    return {
+        "full": q * (q + 1) // 2,
+        "minus-one": q * (q + 1) // 2 - 1,
+        "interactions-only": q * (q - 1) // 2,
+        "single-parent": 2 * q - 1,
+    }[kind]
+
+
+def test_every_cell_meets_its_displayed_bound_and_gap_up_to_n_2000():
+    # The finite part of the theorem algebra: for every cell and every
+    # n = 8, 12, ..., 2000 (and every d = 0..n/4 where the cell uses d), the
+    # bound the cell displays is the sharp bound at its column count, and
+    # E(s^2) - bound is the gap it displays.
+    evaluations = 0
+    for kind, cells in FAMILIES.items():
+        for deficit, cell in cells.items():
+            uses_d = (kind, deficit) == ("single-parent", 3)
+            for n in range(8, 2001, 4):
+                bound = cell.bound(n)
+                m = _columns(kind, n - deficit)
+                assert bound_details(n, m)[2] == bound, (kind, deficit, n)
+                for d in range(n // 4 + 1) if uses_d else (None,):
+                    assert cell.es2(n, d) - bound == cell.gap(n, d), (kind, deficit, n, d)
+                    evaluations += 1
+    assert evaluations == 130_738

@@ -1,6 +1,7 @@
 """Property tests: the fast routes against the reference implementations in
 ``_reference.py``, on random +-1 designs and on perturbed Hadamard designs,
-and the JSON writer against the stdlib's ``json.dumps`` on random payloads.
+the JSON writer against the stdlib's ``json.dumps`` on random payloads, and
+every family's verdict on equivalent Hadamard starts against its theorem cell.
 
 Run counts include ones that are not a multiple of 8 and ones above 64, and
 the designs carry planted duplicate and negated columns."""
@@ -18,11 +19,16 @@ from hypothesis import strategies as st
 
 import ssdopt.spectral
 from ssdopt import (
+    FAMILIES,
+    MINUS_ONE,
+    SINGLE_PARENT,
     SignMatrix,
     aliasing_report,
     anchored_j_squared_sums,
     build_full,
+    build_interactions_only,
     build_minus_one,
+    build_single_parent,
     design_csv_text,
     drop_columns,
     es2_direct,
@@ -32,6 +38,7 @@ from ssdopt import (
     parse_design_csv,
     sum_j_squared,
     sum_j_squared_filtered,
+    verdict,
     verify_oa_strength2,
 )
 from ssdopt.designio import _record_list
@@ -147,6 +154,45 @@ def test_minus_one_from_cached_block_equals_rebuild(case):
     assert np.array_equal(build.design.entries, np.delete(full.entries, pos, axis=1))
     assert build.design.labels == full.labels[:pos] + full.labels[pos + 1 :]
 
+
+
+@st.composite
+def equivalent_starts(draw):
+    """A start q = n - k, k in 1..3, from a Hadamard design with rows and
+    columns permuted and columns negated, relabeled c1, c2, ..., then k - 1
+    columns dropped at random."""
+    n = draw(st.sampled_from([8, 12, 16, 20, 24]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = hadamard_design(n).entries[rng.permutation(n)][:, rng.permutation(n - 1)]
+    entries = entries * rng.choice(np.array([-1, 1], dtype=np.int8), size=n - 1)
+    deficit = draw(st.integers(1, 3))
+    dropped = draw(
+        st.lists(st.integers(0, n - 2), min_size=deficit - 1, max_size=deficit - 1,
+                 unique=True)
+    )
+    start, removed = drop_columns(SignMatrix.with_main_labels(entries), dropped)
+    return n, deficit, start, removed
+
+
+@given(equivalent_starts(), st.data())
+def test_verdicts_on_equivalent_starts_match_their_cells(case, data):
+    n, deficit, start, removed = case
+    for kind, cells in FAMILIES.items():
+        if deficit not in cells:
+            continue
+        if kind == MINUS_ONE:
+            delete = data.draw(st.sampled_from(start.augmented.labels))
+            build = build_minus_one(start, delete, removed)
+        elif kind == SINGLE_PARENT:
+            parent = data.draw(st.integers(0, start.cols - 1))
+            build = build_single_parent(start, parent, removed)
+        else:
+            build = (build_full if kind == "full" else build_interactions_only)(start)
+        report, cell = verdict(build), cells[deficit]
+        assert report.es2 == cell.es2(n, build.d), kind
+        assert report.lower_bound == cell.bound(n), kind
+        assert report.gap == cell.gap(n, build.d), kind
+        assert build.d is None or 0 <= build.d <= n // 4, kind
 
 # A chunk of 5 subsets puts chunk boundaries inside every prefix's run of
 # suffixes; the default chunk holds every enumeration these designs need.
