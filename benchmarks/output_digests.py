@@ -10,7 +10,11 @@ argv lists come from the benchmark's workload definitions
   report and stdout);
 * ``eval-files``: ``evaluate`` of every seed-0 input (stdout, input and
   report files);
-* ``verify-lemmas`` and ``verify-theorems`` at their defaults.
+* ``verify-lemmas`` and ``verify-theorems`` at their defaults;
+* ``verify-results``: every field of every ``CheckResult`` (contexts and
+  expected values included, which the all-PASS stdout does not show) from
+  ``verify_lemma1``, ``verify_lemma2`` and ``verify_theorems`` at n = 12
+  (exhaustive) and n = 20 (cap 50).
 
 Commands write under a temporary directory, whose path is replaced by a fixed
 token before hashing. Uses the standard library only.
@@ -21,6 +25,7 @@ token before hashing. Uses the standard library only.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -30,12 +35,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "ssdbench")]
 
-from ssdopt import cli  # noqa: E402
+from ssdopt import cli, verify_lemma1, verify_lemma2, verify_theorems  # noqa: E402
 import workloads  # noqa: E402
 
 GEN_SEEDS = (0, 3, 7)
 EVAL_SEED = 0
 TOKEN = "<tmp>"
+VERIFY_RUNS = ((12, 0), (20, 50))  # (n, cap)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -58,6 +64,19 @@ def digest_ops(digest, ops, scratch: str) -> int:
     return len(ops)
 
 
+def digest_checks(digest) -> int:
+    """Feed every field of every verify ``CheckResult`` of ``VERIFY_RUNS``
+    to ``digest``; return the number of (function, n) runs."""
+    runs = 0
+    for n, cap in VERIFY_RUNS:
+        for fn in (verify_lemma1, verify_lemma2, verify_theorems):
+            rows = [dataclasses.asdict(r) for r in fn(n, cap=cap)]
+            data = repr((fn.__name__, n, cap, rows)).encode("utf-8")
+            digest.update(len(data).to_bytes(8, "little") + data)
+            runs += 1
+    return runs
+
+
 def main() -> int:
     rows = []
     with tempfile.TemporaryDirectory() as scratch:
@@ -74,6 +93,8 @@ def main() -> int:
             digest = hashlib.sha256()
             op = workloads.Op(command, "verify", [command])
             rows.append((command, digest_ops(digest, [op], scratch), digest))
+    digest = hashlib.sha256()
+    rows.append(("verify-results", digest_checks(digest), digest))
     for name, count, digest in rows:
         print(f"{name:<22} {count:>3} commands  {digest.hexdigest()}")
     return 0

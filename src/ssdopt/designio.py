@@ -65,13 +65,16 @@ def design_csv_text(design: SignMatrix) -> str:
 
 
 def _parse_labels(tokens: list[str]) -> tuple[ColumnLabel, ...]:
-    labels = []
+    columns: dict[ColumnLabel, int] = {}
     for col, token in enumerate(tokens, start=1):
         try:
-            labels.append(ColumnLabel.parse(token))
+            label = ColumnLabel.parse(token)
         except ValueError:
             raise CsvFormatError(f"bad column label {token!r}", line=1, column=col)
-    return tuple(labels)
+        if columns.setdefault(label, col) != col:
+            message = f"column label {token!r} repeats column {columns[label]}"
+            raise CsvFormatError(message, line=1, column=col)
+    return tuple(columns)
 
 
 def parse_design_csv(text: str) -> SignMatrix:

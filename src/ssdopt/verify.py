@@ -1,14 +1,15 @@
 """Brute-force verification of the closed-form J sums and theorem cells.
 
 The exhaustive J enumeration is the oracle of record; every closed form is a
-claim under test, never the oracle. Each check compares one enumeration
-against one closed form (or one verdict against its claimed value) and
-records the outcome. A theorem cell's claimed values are those of its
-``builder.FAMILIES`` cell, whose order is the theorems' order.
-
-Iteration over deletion sets and column choices is lexicographic; ``cap``
-bounds the number of checks per item (0 or None means exhaustive), so a
-capped run is a documented deterministic prefix of the exhaustive one.
+claim under test, never the oracle. Each check compares one enumeration (or
+one verdict) against one claimed value. A theorem cell's claims are those of
+its ``builder.FAMILIES`` cell, whose order is the theorems' order. A lemma
+block (r, a) states its items for s = 3 and 4 on the saturated design with r
+columns deleted, summing over the subsets through a chosen specific columns
+(all subsets when a = 0); d, of the removed then the specific columns, is
+defined exactly when r + a = 3. Choices run lexicographically and ``cap``
+bounds the checks per item (0 or None: exhaustive), so a capped run is a
+deterministic prefix of the exhaustive one.
 """
 
 from __future__ import annotations
@@ -56,171 +57,97 @@ def _capped(iterable: Iterable, cap: int | None) -> Iterator:
     return itertools.islice(iterable, cap)
 
 
-def _children(
-    saturated: SignMatrix, items: Iterable[tuple[tuple[int, ...], object]], cap
-) -> Iterator[tuple[tuple[SignMatrix, SignMatrix], object]]:
-    """Pair each capped (deletion set, choice) item with the (child, removed)
-    of its deletion set, built once per run of equal deletion sets."""
-    for deleted, group in itertools.groupby(_capped(items, cap), key=lambda t: t[0]):
-        built = drop_columns(saturated, deleted)
-        for _, choice in group:
-            yield built, choice
-
-
 def _u(n: int, d: int) -> int:
     return 16 * d * (n - 4 * d)
 
 
-def _lemma1_expected(n: int, deficit: int, s: int, d: int | None = None) -> Fraction:
-    if s == 3:
-        if deficit == 1:
-            return Fraction(n * n * (n - 1) * (n - 2), 6)
-        if deficit == 2:
-            return Fraction(n * n * (n - 2) * (n - 4), 6)
-        if deficit == 3:
-            return Fraction(n * n * (n - 4) * (n - 5), 6)
-        if deficit == 4:
-            return Fraction(n * n * (n - 4) * (n - 8), 6) + _u(n, d)
-    if s == 4:
-        if deficit == 1:
-            return Fraction(n * n * (n - 1) * (n - 2) * (n - 4), 24)
-        if deficit == 2:
-            return Fraction(n * n * (n - 2) * (n - 4) * (n - 5), 24)
-        if deficit == 3:
-            return Fraction(n * n * (n - 4) * (n - 5) * (n - 6), 24)
-        if deficit == 4:
-            return Fraction(n * n * (n - 4) * (n * n - 15 * n + 62), 24) - _u(n, d)
-    raise ValueError(f"no closed form for s={s}, deficit={deficit}")
+#: (r deleted, a specific) -> its items for s = 3 and s = 4, in item order, each
+#: as (check name, closed form f(n, d)); d is None when r + a < 3.
+_LEMMA1: dict[tuple[int, int], tuple] = {
+    (0, 0): (
+        ("lemma1.item1", lambda n, d: Fraction(n * n * (n - 1) * (n - 2), 6)),
+        ("lemma1.item5", lambda n, d: Fraction(n * n * (n - 1) * (n - 2) * (n - 4), 24)),
+    ),
+    (1, 0): (
+        ("lemma1.item2", lambda n, d: Fraction(n * n * (n - 2) * (n - 4), 6)),
+        ("lemma1.item6", lambda n, d: Fraction(n * n * (n - 2) * (n - 4) * (n - 5), 24)),
+    ),
+    (2, 0): (
+        ("lemma1.item3", lambda n, d: Fraction(n * n * (n - 4) * (n - 5), 6)),
+        ("lemma1.item7", lambda n, d: Fraction(n * n * (n - 4) * (n - 5) * (n - 6), 24)),
+    ),
+    (3, 0): (
+        ("lemma1.item4", lambda n, d: Fraction(n * n * (n - 4) * (n - 8), 6) + _u(n, d)),
+        ("lemma1.item8", lambda n, d: (
+            Fraction(n * n * (n - 4) * (n * n - 15 * n + 62), 24) - _u(n, d)
+        )),
+    ),
+}
+_LEMMA2: dict[tuple[int, int], tuple] = {
+    (0, 1): (
+        ("lemma2.item1", lambda n, d: Fraction(n * n * (n - 2), 2)),
+        ("lemma2.item6", lambda n, d: Fraction(n * n * (n - 2) * (n - 4), 6)),
+    ),
+    (0, 2): (
+        ("lemma2.item4", lambda n, d: n * n),
+        ("lemma2.item9", lambda n, d: Fraction(n * n * (n - 4), 2)),
+    ),
+    (1, 1): (
+        ("lemma2.item2", lambda n, d: Fraction(n * n * (n - 4), 2)),
+        ("lemma2.item7", lambda n, d: Fraction(n * n * (n - 4) * (n - 5), 6)),
+    ),
+    (1, 2): (
+        ("lemma2.item5", _u),
+        ("lemma2.item10", lambda n, d: Fraction(n * n * (n - 4), 2) - _u(n, d)),
+    ),
+    (2, 1): (
+        ("lemma2.item3", lambda n, d: Fraction(n * n * (n - 4), 2) - _u(n, d)),
+        ("lemma2.item8", lambda n, d: Fraction(n * n * (n - 4) * (n - 8), 6) + _u(n, d)),
+    ),
+}
+
+
+def _verify_items(
+    saturated: SignMatrix, blocks: dict[tuple[int, int], tuple], cap
+) -> list[CheckResult]:
+    """Each block's items against the enumeration, for every (deletion set,
+    specific columns) choice up to the cap; see the module docstring."""
+    n, q = saturated.rows, saturated.cols
+    results = []
+    for (r, a), items in blocks.items():
+        choices = itertools.product(
+            itertools.combinations(range(q), r), itertools.combinations(range(q - r), a)
+        )
+        for deleted, group in itertools.groupby(_capped(choices, cap), lambda t: t[0]):
+            child, removed = drop_columns(saturated, deleted) if r else (saturated, None)
+            prefix = [f"deleted={','.join(map(str, removed.labels))}"] if r else []
+            for _, chosen in group:
+                context = prefix + [f"{k}0={child.labels[c]}" for k, c in zip("ij", chosen)]
+                d = None
+                if r + a == 3:
+                    columns = [removed.column(i) for i in range(r)]
+                    d = d_parameter(*columns, *(child.column(c) for c in chosen))
+                    context.append(f"d={d}")
+                text = " ".join(context) or "no deletion"
+                for (name, form), s in zip(items, (3, 4)):
+                    actual = (int(anchored_j_squared_sums(child, s, a)[chosen]) if a
+                              else sum_j_squared(child, s))
+                    results.append(_result(name, n, text, form(n, d), actual))
+    return results
 
 
 def verify_lemma1(
     n: int, construction: str = "auto", cap: int | None = 500
 ) -> list[CheckResult]:
-    """Items 1-8: exhaustive J sums of orders 3 and 4 against the closed forms,
-    over deletion sets of size 0 to 3 (lexicographic, capped per size)."""
-    saturated = hadamard_design(n, construction)
-    results = [
-        _result(
-            "lemma1.item1", n, "no deletion",
-            _lemma1_expected(n, 1, 3), sum_j_squared(saturated, 3),
-        ),
-        _result(
-            "lemma1.item5", n, "no deletion",
-            _lemma1_expected(n, 1, 4), sum_j_squared(saturated, 4),
-        ),
-    ]
-    names = {1: ("lemma1.item2", "lemma1.item6"),
-             2: ("lemma1.item3", "lemma1.item7"),
-             3: ("lemma1.item4", "lemma1.item8")}
-    for size, (name3, name4) in names.items():
-        combos = itertools.combinations(range(saturated.cols), size)
-        for combo in _capped(combos, cap):
-            child, removed = drop_columns(saturated, combo)
-            d = None
-            if size == 3:
-                d = d_parameter(
-                    removed.column(0), removed.column(1), removed.column(2)
-                )
-            context = "deleted=" + ",".join(str(lb) for lb in removed.labels)
-            if d is not None:
-                context += f" d={d}"
-            results.append(
-                _result(name3, n, context,
-                        _lemma1_expected(n, size + 1, 3, d), sum_j_squared(child, 3))
-            )
-            results.append(
-                _result(name4, n, context,
-                        _lemma1_expected(n, size + 1, 4, d), sum_j_squared(child, 4))
-            )
-    return results
-
-
-def _anchored(design: SignMatrix, anchors: int, *cols: int) -> tuple[int, int]:
-    """Filtered J^2 sums of orders 3 and 4 through ``cols``, read off the
-    design's anchored tables (:func:`anchored_j_squared_sums`)."""
-    return tuple(int(anchored_j_squared_sums(design, s, anchors)[cols]) for s in (3, 4))
+    """Items 1-8: plain J sums of orders 3 and 4 (:data:`_LEMMA1`)."""
+    return _verify_items(hadamard_design(n, construction), _LEMMA1, cap)
 
 
 def verify_lemma2(
     n: int, construction: str = "auto", cap: int | None = 500
 ) -> list[CheckResult]:
-    """Items 1-10: filtered J sums against the closed forms, for every
-    admissible (deletion set, specific column) combination up to the cap.
-
-    Every filtered sum is read off the anchored tables of its design: one
-    exhaustive enumeration per (design, order, anchor count), checked by the
-    tables' sum identity. d follows the removed-columns-first convention: the
-    defining triple is the removed columns extended by the specific columns
-    until it has size 3.
-    """
-    saturated = hadamard_design(n, construction)
-    q = saturated.cols
-    results = []
-    half_n4 = Fraction(n * n * (n - 4), 2)
-
-    for i0 in _capped(range(q), cap):
-        context = f"i0={saturated.labels[i0]}"
-        f3, f4 = _anchored(saturated, 1, i0)
-        results.append(
-            _result("lemma2.item1", n, context,
-                    Fraction(n * n * (n - 2), 2), f3)
-        )
-        results.append(
-            _result("lemma2.item6", n, context,
-                    Fraction(n * n * (n - 2) * (n - 4), 6), f4)
-        )
-    for i0, j0 in _capped(itertools.combinations(range(q), 2), cap):
-        context = f"i0={saturated.labels[i0]} j0={saturated.labels[j0]}"
-        f3, f4 = _anchored(saturated, 2, i0, j0)
-        results.append(_result("lemma2.item4", n, context, n * n, f3))
-        results.append(_result("lemma2.item9", n, context, half_n4, f4))
-
-    singles = (((r1,), i0) for r1 in range(q) for i0 in range(q - 1))
-    for (child, removed), i0 in _children(saturated, singles, cap):
-        context = f"deleted={removed.labels[0]} i0={child.labels[i0]}"
-        f3, f4 = _anchored(child, 1, i0)
-        results.append(_result("lemma2.item2", n, context, half_n4, f3))
-        results.append(
-            _result("lemma2.item7", n, context,
-                    Fraction(n * n * (n - 4) * (n - 5), 6), f4)
-        )
-    pairs = (
-        ((r1,), chosen)
-        for r1 in range(q)
-        for chosen in itertools.combinations(range(q - 1), 2)
-    )
-    for (child, removed), (i0, j0) in _children(saturated, pairs, cap):
-        d = d_parameter(removed.column(0), child.column(i0), child.column(j0))
-        context = (
-            f"deleted={removed.labels[0]} i0={child.labels[i0]} "
-            f"j0={child.labels[j0]} d={d}"
-        )
-        f3, f4 = _anchored(child, 2, i0, j0)
-        results.append(_result("lemma2.item5", n, context, _u(n, d), f3))
-        results.append(
-            _result("lemma2.item10", n, context, half_n4 - _u(n, d), f4)
-        )
-
-    doubles = (
-        (pair, i0)
-        for pair in itertools.combinations(range(q), 2)
-        for i0 in range(q - 2)
-    )
-    for (child, removed), i0 in _children(saturated, doubles, cap):
-        d = d_parameter(removed.column(0), removed.column(1), child.column(i0))
-        context = (
-            "deleted=" + ",".join(str(lb) for lb in removed.labels)
-            + f" i0={child.labels[i0]} d={d}"
-        )
-        f3, f4 = _anchored(child, 1, i0)
-        results.append(
-            _result("lemma2.item3", n, context, half_n4 - _u(n, d), f3)
-        )
-        results.append(
-            _result("lemma2.item8", n, context,
-                    Fraction(n * n * (n - 4) * (n - 8), 6) + _u(n, d), f4)
-        )
-    return results
+    """Items 1-10: J sums filtered through specific columns (:data:`_LEMMA2`)."""
+    return _verify_items(hadamard_design(n, construction), _LEMMA2, cap)
 
 
 def _choices(

@@ -157,6 +157,13 @@ class TestEvaluate:
         assert code == 2
         assert "line 2" in stderr
 
+    def test_repeated_header_label_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "repeat.csv"
+        bad.write_text("c1,c1\n+1,-1\n-1,+1\n")
+        code, stdout, stderr = run(["evaluate", str(bad)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == "error: column label 'c1' repeats column 1 (line 1, column 2)\n"
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(["evaluate", str(tmp_path / "absent.csv")], capsys)
         assert code == 2

@@ -91,6 +91,12 @@ class TestCsvErrors:
             parse_design_csv("c1,c2,x3\n+1,-1,+1\n")
         assert str(err.value) == "bad column label 'x3' (line 1, column 3)"
 
+    def test_repeated_header_label_names_label_line_and_column(self):
+        with pytest.raises(CsvFormatError) as err:
+            parse_design_csv("c1,c2,c1\n+1,-1,+1\n")
+        assert err.value.line == 1 and err.value.column == 3
+        assert str(err.value) == "column label 'c1' repeats column 1 (line 1, column 3)"
+
     def test_strict_tokens_only(self):
         for bad in ("1", "-1.0", "+ 1", ""):
             with pytest.raises(CsvFormatError):

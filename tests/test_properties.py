@@ -1,7 +1,8 @@
 """Property tests: the fast routes against the reference implementations in
 ``_reference.py``, on random +-1 designs and on perturbed Hadamard designs,
-the JSON writer against the stdlib's ``json.dumps`` on random payloads, and
-every family's verdict on equivalent Hadamard starts against its theorem cell.
+the JSON writer against the stdlib's ``json.dumps`` on random payloads,
+every family's verdict on equivalent Hadamard starts against its theorem cell,
+and both lemmas' items (and their d) on equivalent saturated designs.
 
 Run counts include ones that are not a multiple of 8 and ones above 64, and
 the designs carry planted duplicate and negated columns."""
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssdopt.spectral
@@ -42,6 +43,7 @@ from ssdopt import (
     verify_oa_strength2,
 )
 from ssdopt.designio import _record_list
+from ssdopt.verify import _LEMMA1, _LEMMA2, _verify_items
 
 from _reference import (
     aliasing_scan,
@@ -157,20 +159,28 @@ def test_minus_one_from_cached_block_equals_rebuild(case):
 
 
 @st.composite
-def equivalent_starts(draw):
-    """A start q = n - k, k in 1..3, from a Hadamard design with rows and
-    columns permuted and columns negated, relabeled c1, c2, ..., then k - 1
-    columns dropped at random."""
-    n = draw(st.sampled_from([8, 12, 16, 20, 24]))
+def equivalent_saturated(draw, orders=(8, 12, 16, 20, 24)):
+    """A Hadamard design of an order in ``orders`` with rows and columns
+    permuted and some columns negated, relabeled c1, c2, ..."""
+    n = draw(st.sampled_from(orders))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     entries = hadamard_design(n).entries[rng.permutation(n)][:, rng.permutation(n - 1)]
     entries = entries * rng.choice(np.array([-1, 1], dtype=np.int8), size=n - 1)
+    return SignMatrix.with_main_labels(entries)
+
+
+@st.composite
+def equivalent_starts(draw):
+    """A start q = n - k, k in 1..3, from an equivalent Hadamard design with
+    k - 1 columns dropped at random."""
+    saturated = draw(equivalent_saturated())
+    n = saturated.rows
     deficit = draw(st.integers(1, 3))
     dropped = draw(
         st.lists(st.integers(0, n - 2), min_size=deficit - 1, max_size=deficit - 1,
                  unique=True)
     )
-    start, removed = drop_columns(SignMatrix.with_main_labels(entries), dropped)
+    start, removed = drop_columns(saturated, dropped)
     return n, deficit, start, removed
 
 
@@ -193,6 +203,23 @@ def test_verdicts_on_equivalent_starts_match_their_cells(case, data):
         assert report.lower_bound == cell.bound(n), kind
         assert report.gap == cell.gap(n, build.d), kind
         assert build.d is None or 0 <= build.d <= n // 4, kind
+
+
+@settings(max_examples=20)
+@given(equivalent_saturated(orders=(8, 12, 16, 20)))
+def test_lemma_items_and_d_on_equivalent_saturated_designs(saturated):
+    """Both lemmas' closed forms hold on an equivalent saturated design, and
+    d is reported, within 0..n/4, exactly on the items of a column triple."""
+    n = saturated.rows
+    results = _verify_items(saturated, {**_LEMMA1, **_LEMMA2}, cap=40)
+    assert [r for r in results if not r.ok] == []
+    with_d = {"lemma1.item4", "lemma1.item8", "lemma2.item3", "lemma2.item5",
+              "lemma2.item8", "lemma2.item10"}
+    for r in results:
+        d = [int(t[2:]) for t in r.context.split() if t.startswith("d=")]
+        assert len(d) == (r.name in with_d), r
+        assert all(0 <= v <= n // 4 for v in d), r
+
 
 # A chunk of 5 subsets puts chunk boundaries inside every prefix's run of
 # suffixes; the default chunk holds every enumeration these designs need.

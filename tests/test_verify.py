@@ -1,0 +1,56 @@
+"""The lemma walk's exhaustive n = 12 output, item by item: how many checks
+each of the 18 items runs, and the context and expected value of its first
+and last check."""
+
+from ssdopt import verify_lemma1, verify_lemma2
+
+# name: (checks, (first context, first expected), (last context, last expected))
+LEMMA_ITEMS_12 = {
+    "lemma1.item1": (1, ("no deletion", "2640"), ("no deletion", "2640")),
+    "lemma1.item5": (1, ("no deletion", "5280"), ("no deletion", "5280")),
+    "lemma1.item2": (11, ("deleted=c1", "1920"), ("deleted=c11", "1920")),
+    "lemma1.item6": (11, ("deleted=c1", "3360"), ("deleted=c11", "3360")),
+    "lemma1.item3": (55, ("deleted=c1,c2", "1344"), ("deleted=c10,c11", "1344")),
+    "lemma1.item7": (55, ("deleted=c1,c2", "2016"), ("deleted=c10,c11", "2016")),
+    "lemma1.item4": (
+        165, ("deleted=c1,c2,c3 d=2", "896"), ("deleted=c9,c10,c11 d=2", "896")
+    ),
+    "lemma1.item8": (
+        165, ("deleted=c1,c2,c3 d=2", "1120"), ("deleted=c9,c10,c11 d=2", "1120")
+    ),
+    "lemma2.item1": (11, ("i0=c1", "720"), ("i0=c11", "720")),
+    "lemma2.item6": (11, ("i0=c1", "1920"), ("i0=c11", "1920")),
+    "lemma2.item4": (55, ("i0=c1 j0=c2", "144"), ("i0=c10 j0=c11", "144")),
+    "lemma2.item9": (55, ("i0=c1 j0=c2", "576"), ("i0=c10 j0=c11", "576")),
+    "lemma2.item2": (110, ("deleted=c1 i0=c2", "576"), ("deleted=c11 i0=c10", "576")),
+    "lemma2.item7": (110, ("deleted=c1 i0=c2", "1344"), ("deleted=c11 i0=c10", "1344")),
+    "lemma2.item5": (
+        495,
+        ("deleted=c1 i0=c2 j0=c3 d=2", "128"),
+        ("deleted=c11 i0=c9 j0=c10 d=2", "128"),
+    ),
+    "lemma2.item10": (
+        495,
+        ("deleted=c1 i0=c2 j0=c3 d=2", "448"),
+        ("deleted=c11 i0=c9 j0=c10 d=2", "448"),
+    ),
+    "lemma2.item3": (
+        495, ("deleted=c1,c2 i0=c3 d=2", "448"), ("deleted=c10,c11 i0=c9 d=2", "448")
+    ),
+    "lemma2.item8": (
+        495, ("deleted=c1,c2 i0=c3 d=2", "896"), ("deleted=c10,c11 i0=c9 d=2", "896")
+    ),
+}
+
+
+def test_exhaustive_lemma_items_at_n_12_are_pinned():
+    results = verify_lemma1(12, cap=0) + verify_lemma2(12, cap=0)
+    assert all(r.ok for r in results)
+    items = {}
+    for r in results:
+        items.setdefault(r.name, []).append(r)
+    assert list(items) == list(LEMMA_ITEMS_12)
+    for name, checks in items.items():
+        first, last = checks[0], checks[-1]
+        got = (len(checks), (first.context, first.expected), (last.context, last.expected))
+        assert got == LEMMA_ITEMS_12[name], name
