@@ -1,8 +1,8 @@
 """Layer timings of the verify commands and the verdict plumbing under them.
 
-Times ``verify_lemma2(n)`` and ``verify_theorems(n)`` (cap 500, the CLI
-default) at n = 12, 24, 32, 48, 64, ``SignMatrix.row_gram`` on the full
-augmentation of ``hadamard_design(n)`` at the same orders, and
+Times ``verify_lemma1(n)``, ``verify_lemma2(n)`` and ``verify_theorems(n)``
+(cap 500, the CLI default) at n = 12, 24, 32, 48, 64, ``SignMatrix.row_gram``
+on the full augmentation of ``hadamard_design(n)`` at the same orders, and
 ``aliasing_report`` on the n = 32 and n = 64 Sylvester full augmentations,
 with plain ``time.perf_counter``. Every verify call builds its designs
 afresh, so no per-instance memo carries over between runs. Writes one JSON
@@ -30,6 +30,7 @@ from ssdopt import (
     aliasing_report,
     build_full,
     hadamard_design,
+    verify_lemma1,
     verify_lemma2,
     verify_theorems,
 )
@@ -73,7 +74,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     verify = []
-    for name, fn in (("verify_lemma2", verify_lemma2), ("verify_theorems", verify_theorems)):
+    for fn in (verify_lemma1, verify_lemma2, verify_theorems):
+        name = fn.__name__
         for n in ORDERS:
             times, results = _timed(lambda: fn(n, cap=CAP), VERIFY_REPEATS)
             verify.append(

@@ -14,7 +14,8 @@ argv lists come from the benchmark's workload definitions
 * ``verify-results``: every field of every ``CheckResult`` (contexts and
   expected values included, which the all-PASS stdout does not show) from
   ``verify_lemma1``, ``verify_lemma2`` and ``verify_theorems`` at n = 12
-  (exhaustive) and n = 20 (cap 50).
+  (exhaustive), n = 20 (cap 50) and n = 24 (cap 500, the CLI default, where
+  the lemma-1 deletion batches are largest).
 
 Commands write under a temporary directory, whose path is replaced by a fixed
 token before hashing. Uses the standard library only.
@@ -41,7 +42,7 @@ import workloads  # noqa: E402
 GEN_SEEDS = (0, 3, 7)
 EVAL_SEED = 0
 TOKEN = "<tmp>"
-VERIFY_RUNS = ((12, 0), (20, 50))  # (n, cap)
+VERIFY_RUNS = ((12, 0), (20, 50), (24, 500))  # (n, cap)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import ColumnLabel, SignMatrix, verify_oa_strength2
-from .spectral import d_parameter
+from .spectral import d_from_words
 
 FULL = "full"
 MINUS_ONE = "minus-one"
@@ -221,7 +221,8 @@ def build_minus_one(
         pb = start.label_position(ColumnLabel.main(delete.j))
         terms = _FULL_TERMS + ((-2, 3, (pa, pb)), (-2, 4, (pa, pb)))
         if start.rows - start.cols == 2 and removed is not None and removed.cols == 1:
-            d = d_parameter(removed.column(0), start.column(pa), start.column(pb))
+            words = start.neg_words
+            d = d_from_words(start.rows, removed.neg_words[0], words[pa], words[pb])
     else:
         terms = _FULL_TERMS + ((-2, 3, (start.label_position(delete),)),)
     return SsdBuild(design, start, SsdFamily.minus_one(delete), terms, d)
@@ -256,7 +257,8 @@ def build_single_parent(
     design = start.augmented.take(list(range(q)) + sorted(interactions))
     d = None
     if start.rows - start.cols == 3 and removed is not None and removed.cols == 2:
-        d = d_parameter(removed.column(0), removed.column(1), start.column(parent))
+        rows = removed.neg_words
+        d = d_from_words(start.rows, rows[0], rows[1], start.neg_words[parent])
     return SsdBuild(
         design, start, SsdFamily.single_parent(parent), ((4, 3, (parent,)),), d
     )

@@ -21,12 +21,13 @@ All values are exact rationals; "optimal" means the gap is exactly zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .builder import FAMILIES, SsdBuild, SsdFamily
 from .core import AliasedPairs, SignMatrix, aliasing_report
-from .spectral import sum_j_squared, sum_j_squared_filtered
+from .spectral import sum_j_squared, sum_j_squared_anchored
 
 
 def es2_direct(design: SignMatrix) -> Fraction:
@@ -44,14 +45,16 @@ def es2_direct(design: SignMatrix) -> Fraction:
 def es2_via_j(build: SsdBuild) -> Fraction:
     """E(s^2) recomputed from the starting array's J-characteristics.
 
-    Sums the build's recorded ``j_terms``. Independent of :func:`es2_direct`;
-    the two must agree exactly for every build, which the verdict enforces.
+    Sums the build's recorded ``j_terms``; a filtered term reads the start's
+    anchored table when one is tabulated (``spectral.sum_j_squared_anchored``).
+    Independent of :func:`es2_direct`; the two must agree exactly for every
+    build, which the verdict enforces.
     """
     start = build.start
     numerator = 0
     for coefficient, s, fixed in build.j_terms:
         if fixed:
-            numerator += coefficient * sum_j_squared_filtered(start, s, fixed)
+            numerator += coefficient * sum_j_squared_anchored(start, s, fixed)
         else:
             numerator += coefficient * sum_j_squared(start, s)
     m = build.design.cols
@@ -126,10 +129,14 @@ def _bound_value(n: int, m: int, dec: Decomposition) -> Fraction:
     return lead + correction
 
 
+@functools.lru_cache(maxsize=256)
 def bound_details(
     n: int, m: int
 ) -> tuple[tuple[Decomposition, ...], Decomposition, Fraction]:
-    """All decompositions of m, the one giving the tightest bound, and its value."""
+    """All decompositions of m, the one giving the tightest bound, and its value.
+
+    The result is immutable and cached per (n, m): every minus-one build of
+    one start, for instance, shares one m."""
     if m < 2:
         raise ValueError("the bound needs at least two columns")
     decs = decompose_m(n, m)

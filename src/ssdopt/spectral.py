@@ -12,7 +12,13 @@ mode the same pass also adds each subset's popcount to the histogram of each
 column (or column pair) it contains, so one enumeration of the s-subsets
 gives every filtered sum with one or two fixed columns
 (:func:`anchored_j_squared_sums`); the tables must sum to C(s, 1) or C(s, 2)
-times the plain sum.
+times the plain sum, and :func:`sum_j_squared_anchored` reads a filtered
+sum from them once a design has them. The kernel also takes a leading batch axis of
+equal-width designs, enumerated in one pass with each design's subsets
+XORed and popcounted on their own: :func:`sum_j_squared_deleted` gives the
+plain sum of a design with each of many column sets deleted, without
+building those designs. The half-fraction d of a column triple comes from
+J_3 on the same packed bits (:func:`d_from_words`).
 
 J sums are exact integers; distributions and wordlength patterns are exact
 rationals.
@@ -181,30 +187,41 @@ def _sum_squared_j(
     """Exhaustive sum of J^2 over every k-subset S of the rows of ``words``,
     where J = n - 2 * popcount(base ^ XOR of the rows in S); 0 if k > rows.
 
-    Each subset's XOR is one prefix row XOR one suffix row, formed _CHUNK
-    subsets at a time. Plans of k <= 4 (halves of at most two indices) are
-    cached; larger ones are rebuilt per call. Nothing here writes to a plan.
+    ``words`` is one design's (r, W) array or a batch of B such arrays of
+    equal r, shape (B, r, W), sharing ``base``; a batch returns an int64
+    array of B sums. Each design's subsets are XORed and popcounted on their
+    own. Each subset's XOR is one prefix row XOR one suffix row, formed
+    _CHUNK subsets at a time (_CHUNK // B per design in a batch, so the
+    temporaries do not grow with B). Plans of k <= 4 (halves of at most two
+    indices) are cached; larger ones are rebuilt per call. Nothing here
+    writes to a plan.
 
     Tally mode (``anchors`` = 1 or 2) returns (sum, table) instead: the same
     pass adds each subset's popcount to the histogram of every row (or row
     pair a < b) in it, and table[a] (or table[a, b]) is the sum of J^2 over
     the subsets that contain it; entries on and below the diagonal of the
-    pair table are 0.
+    pair table are 0. A batch gives B tables along a leading axis.
     """
+    single = words.ndim == 2
+    stack = words[None] if single else words
+    designs, r = stack.shape[:2]
     plan = _small_plan if k <= 4 else _build_plan
-    r = words.shape[0]
     prefixes, suffixes, bounds, shift = plan(r, k)
-    prefix = np.bitwise_xor.reduce(words[prefixes], axis=1) ^ base
-    suffix = np.bitwise_xor.reduce(words[suffixes], axis=1)
+    prefix = np.bitwise_xor.reduce(stack.take(prefixes, axis=1), axis=2) ^ base
+    suffix = np.bitwise_xor.reduce(stack.take(suffixes, axis=1), axis=2)
     subsets = int(bounds[-1])
-    histogram = np.zeros(n + 1, dtype=np.int64)
-    cells = np.zeros(r**anchors * (n + 1) if anchors else 0, dtype=np.int64)
+    # Design b counts popcount c in histogram bin b * (n + 1) + c and, for
+    # tally cell x, in cells bin (b * r**anchors + x) * (n + 1) + c.
+    histogram = np.zeros(designs * (n + 1), dtype=np.int64)
+    offsets = np.arange(designs)[:, None] * (n + 1)
+    cells = np.zeros(designs * r**anchors * (n + 1) if anchors else 0, dtype=np.int64)
     # Bins wait until they outnumber the cells, so each bincount pays for
     # its zeroed output at most once over.
     pending: list[np.ndarray] = []
     waiting = 0
-    for start in range(0, subsets, _CHUNK):
-        stop = min(start + _CHUNK, subsets)
+    step = max(1, _CHUNK // designs)
+    for start in range(0, subsets, step):
+        stop = min(start + step, subsets)
         # Prefixes first-1 .. last-1 own the chunk; trim the outer two runs.
         first, last = (bisect.bisect_right(bounds, g) for g in (start, stop - 1))
         runs = bounds[first : last + 1] - bounds[first - 1 : last]
@@ -212,27 +229,30 @@ def _sum_squared_j(
         runs[-1] -= bounds[last] - stop
         owners = slice(first - 1, last)
         pairs = np.arange(start, stop) + shift[owners].repeat(runs)
-        xor = prefix[owners].repeat(runs, axis=0) ^ suffix[pairs]
-        popcounts = np.bitwise_count(xor).sum(axis=1, dtype=np.intp)
-        histogram += np.bincount(popcounts, minlength=n + 1)
+        xor = prefix[:, owners].repeat(runs, axis=1) ^ suffix.take(pairs, axis=1)
+        popcounts = np.bitwise_count(xor).sum(axis=2, dtype=np.intp)
+        histogram += np.bincount((popcounts + offsets).ravel(), minlength=len(histogram))
         if anchors:
             # rows[t] holds each subset's t-th smallest row index: the
             # reversed prefix then the suffix is in increasing order, so
             # position pairs t < u give row pairs a < b.
             rows = [h.repeat(runs) for h in prefixes[owners].T[::-1]]
             rows += [suffixes[pairs, t] for t in range(suffixes.shape[1])]
+            bins = popcounts + offsets * r**anchors
             for group in itertools.combinations(rows, anchors):
                 cell = group[0] if anchors == 1 else group[0] * r + group[1]
-                pending.append(cell * (n + 1) + popcounts)
-                waiting += len(popcounts)
+                pending.append((cell * (n + 1) + bins).ravel())
+                waiting += popcounts.size
                 if waiting >= len(cells) or stop == subsets:
                     cells += np.bincount(np.concatenate(pending), minlength=len(cells))
                     pending, waiting = [], 0
-    total = int(histogram @ _squares(n))
+    totals = histogram.reshape(designs, n + 1) @ _squares(n)
+    if single:
+        totals = int(totals[0])
     if not anchors:
-        return total
-    table = cells.reshape(-1, n + 1) @ _squares(n)
-    return total, table.reshape((r,) * anchors)
+        return totals
+    tables = (cells.reshape(-1, n + 1) @ _squares(n)).reshape((designs,) + (r,) * anchors)
+    return totals, tables[0] if single else tables
 
 
 def sum_j_squared(design: SignMatrix, s: int) -> int:
@@ -247,6 +267,43 @@ def sum_j_squared(design: SignMatrix, s: int) -> int:
     if s not in sums:
         sums[s] = _sum_squared_j(design.neg_words, 0, design.rows, s)
     return sums[s]
+
+
+def sum_j_squared_deleted(
+    design: SignMatrix, deletions: Sequence[Sequence[int]], s: int
+) -> list[int]:
+    """For each deletion set D (all of one size), the exhaustive sum of
+    J_s(S)^2 over the s-subsets of the columns not in D: the
+    :func:`sum_j_squared` of ``design`` with D deleted, without building it.
+
+    The kept columns of the sets form one batch of equal-width designs for
+    the kernel; slices of the batch keep its prefix and suffix tables within
+    _CHUNK words, so memory does not grow with the number of sets.
+    """
+    if s < 1:
+        raise ValueError(f"order s must be at least 1, got {s}")
+    if not deletions:
+        return []
+    q = design.cols
+    dropped = np.array(deletions, dtype=np.intp)
+    if dropped.ndim != 2:
+        raise ValueError("deletion sets must be sequences of column positions")
+    if dropped.size and not 0 <= dropped.min() <= dropped.max() < q:
+        raise ValueError(f"column index out of range for {q} columns")
+    keep = np.ones((len(dropped), q), dtype=bool)
+    keep[np.arange(len(dropped))[:, None], dropped] = False
+    width = q - dropped.shape[1]
+    if np.count_nonzero(keep) != len(dropped) * width:
+        raise ValueError("each deletion set must have distinct entries")
+    kept = np.nonzero(keep)[1].reshape(len(dropped), width)
+    words = design.neg_words
+    table_words = (math.comb(width, s // 2) + math.comb(width, s - s // 2)) * words.shape[1]
+    step = max(1, _CHUNK // max(1, table_words))
+    sums: list[int] = []
+    for start in range(0, len(kept), step):
+        batch = words.take(kept[start : start + step], axis=0)
+        sums += _sum_squared_j(batch, 0, design.rows, s).tolist()
+    return sums
 
 
 def anchored_j_squared_sums(design: SignMatrix, s: int, anchors: int) -> np.ndarray:
@@ -294,6 +351,40 @@ def sum_j_squared_filtered(
     return _sum_squared_j(rest, base, design.rows, s - len(anchor))
 
 
+def sum_j_squared_anchored(design: SignMatrix, s: int, fixed: Sequence[int]) -> int:
+    """:func:`sum_j_squared_filtered`, read from the design's anchored table
+    of order s when :func:`anchored_j_squared_sums` has tabulated it (the
+    fixed columns in any order); otherwise one enumeration. Callers that ask
+    one design for many filtered sums tabulate it first.
+    """
+    table = design.j_squared_sums.get((s, len(fixed)))
+    if table is None:
+        return sum_j_squared_filtered(design, s, fixed)
+    return int(table[tuple(sorted(_check_subset(design, fixed)))])
+
+
+def _half_fraction_d(n: int, j3: int) -> int:
+    """d = (n + J_3) / 8 of a triple in an n-run design; ValueError when the
+    triple does not decompose into half-fraction replicates."""
+    if (n + j3) % 8 != 0:
+        raise ValueError(
+            "triple does not decompose into half-fraction replicates "
+            f"(J3 = {j3} with n = {n})"
+        )
+    d = (n + j3) // 8
+    if not 0 <= d <= n // 4:
+        raise ValueError(f"d = {d} outside 0..{n // 4}")
+    return d
+
+
+def d_from_words(n: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:
+    """:func:`d_parameter` of three columns of valid n-run designs, given as
+    their rows of :attr:`SignMatrix.neg_words`: J_3 = n - 2 * popcount(a ^ b ^ c).
+
+    The columns are not revalidated."""
+    return _half_fraction_d(n, n - 2 * int(np.bitwise_count(a ^ b ^ c).sum()))
+
+
 def d_parameter(t1, t2, t3) -> int:
     """Half-fraction multiplicity of a column triple.
 
@@ -301,7 +392,8 @@ def d_parameter(t1, t2, t3) -> int:
     their rows into d replicates of the half fraction with all-positive
     triple products and n/4 - d replicates of the opposite one, which gives
     d = (n + J_3) / 8. A non-integral value means the triple does not arise
-    that way, and is reported as an error.
+    that way, and is reported as an error. The columns are validated here;
+    :func:`d_from_words` takes columns of designs already validated.
     """
     cols = [np.ravel(t) for t in (t1, t2, t3)]
     n = len(cols[0])
@@ -312,13 +404,4 @@ def d_parameter(t1, t2, t3) -> int:
     stack = np.stack(cols)
     if not np.all((stack == 1) | (stack == -1)):
         raise ValueError("columns must have entries +1 or -1")
-    j3 = int(stack.prod(axis=0, dtype=np.int64).sum())
-    if (n + j3) % 8 != 0:
-        raise ValueError(
-            "triple does not decompose into half-fraction replicates "
-            f"(J3 = {j3} with n = {n})"
-        )
-    d = (n + j3) // 8
-    if not 0 <= d <= n // 4:
-        raise ValueError(f"d = {d} outside 0..{n // 4}")
-    return d
+    return _half_fraction_d(n, int(stack.prod(axis=0, dtype=np.int64).sum()))

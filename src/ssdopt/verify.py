@@ -10,6 +10,13 @@ columns deleted, summing over the subsets through a chosen specific columns
 defined exactly when r + a = 3. Choices run lexicographically and ``cap``
 bounds the checks per item (0 or None: exhaustive), so a capped run is a
 deterministic prefix of the exhaustive one.
+
+Neighbouring checks share their enumerations; every one stays exhaustive.
+A lemma block without specific columns sends all of its deletion sets
+through one batched enumeration per order; a block with them reads the
+anchored tables of each child design, built once per deletion set. Every
+theorem build of one start reads its filtered J terms from that start's
+anchored tables, each tabulated once (and checked against its plain sum).
 """
 
 from __future__ import annotations
@@ -32,7 +39,12 @@ from .builder import (
 )
 from .core import SignMatrix, drop_columns, hadamard_design
 from .es2 import verdict
-from .spectral import anchored_j_squared_sums, d_parameter, sum_j_squared
+from .spectral import (
+    anchored_j_squared_sums,
+    d_from_words,
+    sum_j_squared,
+    sum_j_squared_deleted,
+)
 
 
 @dataclass(frozen=True)
@@ -107,32 +119,51 @@ _LEMMA2: dict[tuple[int, int], tuple] = {
 }
 
 
+def _enumerated(saturated: SignMatrix, choices: Iterable, a: int) -> Iterator:
+    """(deleted, chosen, child, (order-3 sum, order-4 sum)) of each choice.
+
+    With a = 0 every deletion set of the block goes through one batched
+    enumeration per order and no child is built (``child`` is None). With
+    a > 0 each run of equal deletion sets builds its child once (r = 0 uses
+    the saturated instance) and reads that child's anchored tables.
+    """
+    if not a:
+        deletions = [deleted for deleted, _ in choices]
+        sums = [sum_j_squared_deleted(saturated, deletions, s) for s in (3, 4)]
+        for deleted, actual in zip(deletions, zip(*sums)):
+            yield deleted, (), None, actual
+        return
+    for deleted, group in itertools.groupby(choices, lambda t: t[0]):
+        child = drop_columns(saturated, deleted)[0] if deleted else saturated
+        tables = [anchored_j_squared_sums(child, s, a) for s in (3, 4)]
+        for _, chosen in group:
+            yield deleted, chosen, child, tuple(int(t[chosen]) for t in tables)
+
+
 def _verify_items(
     saturated: SignMatrix, blocks: dict[tuple[int, int], tuple], cap
 ) -> list[CheckResult]:
     """Each block's items against the enumeration, for every (deletion set,
     specific columns) choice up to the cap; see the module docstring."""
     n, q = saturated.rows, saturated.cols
+    labels, words = saturated.labels, saturated.neg_words
     results = []
     for (r, a), items in blocks.items():
         choices = itertools.product(
             itertools.combinations(range(q), r), itertools.combinations(range(q - r), a)
         )
-        for deleted, group in itertools.groupby(_capped(choices, cap), lambda t: t[0]):
-            child, removed = drop_columns(saturated, deleted) if r else (saturated, None)
-            prefix = [f"deleted={','.join(map(str, removed.labels))}"] if r else []
-            for _, chosen in group:
-                context = prefix + [f"{k}0={child.labels[c]}" for k, c in zip("ij", chosen)]
-                d = None
-                if r + a == 3:
-                    columns = [removed.column(i) for i in range(r)]
-                    d = d_parameter(*columns, *(child.column(c) for c in chosen))
-                    context.append(f"d={d}")
-                text = " ".join(context) or "no deletion"
-                for (name, form), s in zip(items, (3, 4)):
-                    actual = (int(anchored_j_squared_sums(child, s, a)[chosen]) if a
-                              else sum_j_squared(child, s))
-                    results.append(_result(name, n, text, form(n, d), actual))
+        enumerated = _enumerated(saturated, _capped(choices, cap), a)
+        for deleted, chosen, child, actual in enumerated:
+            context = [f"deleted={','.join(str(labels[i]) for i in deleted)}"] if r else []
+            context += [f"{k}0={child.labels[c]}" for k, c in zip("ij", chosen)]
+            d = None
+            if r + a == 3:
+                rows = [words[i] for i in deleted] + [child.neg_words[c] for c in chosen]
+                d = d_from_words(n, *rows)
+                context.append(f"d={d}")
+            text = " ".join(context) or "no deletion"
+            for (name, form), value in zip(items, actual):
+                results.append(_result(name, n, text, form(n, d), value))
     return results
 
 
@@ -200,6 +231,13 @@ def verify_theorems(
                 continue
             cell, name = cells[deficit], f"theorem{number}"
             for suffix, build in _choices(kind, start, removed, cap):
+                # The start serves every build of its q: tabulate each
+                # filtered J term once, for all of their verdicts to read,
+                # after the plain sum its checksum compares against.
+                for _, s, fixed in build.j_terms:
+                    if fixed:
+                        sum_j_squared(start, s)
+                        anchored_j_squared_sums(start, s, len(fixed))
                 context = f"q=n-{deficit}{suffix}"
                 report, gap = verdict(build), cell.gap(n, build.d)
                 results += [

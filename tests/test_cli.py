@@ -68,6 +68,29 @@ class TestGenerate:
         header = out.read_text().splitlines()[0].split(",")
         assert "c2" not in header and "c5" not in header and "c1" in header
 
+    def test_single_build_tabulates_no_anchored_sums(self, tmp_path, capsys, monkeypatch):
+        """A lone build's verdict enumerates its filtered terms: anchored
+        tables only pay off where one start serves many builds."""
+        import ssdopt.cli
+
+        builds = []
+        real_verdict = ssdopt.cli.verdict
+
+        def recording(build):
+            builds.append(build)
+            return real_verdict(build)
+
+        monkeypatch.setattr(ssdopt.cli, "verdict", recording)
+        for args in (["--family", "minus-one", "--drop", "1", "--delete", "c2*c5"],
+                     ["--family", "minus-one", "--delete", "c3"],
+                     ["--family", "single-parent", "--drop", "2", "--parent", "4"]):
+            argv = ["generate", "--n", "24", *args, "--out", str(tmp_path / "x.csv")]
+            assert run(argv, capsys)[0] == 0
+        assert len(builds) == 3
+        for build in builds:
+            assert any(fixed for _, _, fixed in build.j_terms)
+            assert all(isinstance(key, int) for key in build.start.j_squared_sums)
+
     def test_invalid_n_exits_2(self, tmp_path, capsys):
         code, _, stderr = run(
             ["generate", "--n", "6", "--out", str(tmp_path / "x.csv")], capsys

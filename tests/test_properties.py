@@ -35,6 +35,7 @@ from ssdopt import (
     es2_direct,
     gwp_via_krawtchouk,
     hadamard_design,
+    j_characteristic,
     json_text,
     parse_design_csv,
     sum_j_squared,
@@ -43,6 +44,7 @@ from ssdopt import (
     verify_oa_strength2,
 )
 from ssdopt.designio import _record_list
+from ssdopt.spectral import d_from_words, d_parameter
 from ssdopt.verify import _LEMMA1, _LEMMA2, _verify_items
 
 from _reference import (
@@ -234,6 +236,53 @@ def test_kernel_sums_equal_unrolled_loops(design):
             for s in range(1, 7):
                 fresh = SignMatrix(design.entries, design.labels)
                 assert sum_j_squared(fresh, s) == sum_j_squared_loop(design, s)
+
+
+def _random_signs(seed: int, n: int, width: int) -> SignMatrix:
+    rng = np.random.default_rng(seed)
+    entries = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, width))
+    return SignMatrix.with_main_labels(entries)
+
+
+@st.composite
+def sign_stacks(draw):
+    """1 to 5 random n x w sign matrices of one width, n <= 16 and w <= 6."""
+    n, width = draw(st.integers(1, 16)), draw(st.integers(0, 6))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+    return [_random_signs(seed, n, width) for seed in seeds]
+
+
+@given(sign_stacks(), st.integers(1, 4))
+@example([_random_signs(7, 12, 5)], 3)
+@example([_random_signs(seed, 16, 2) for seed in range(5)], 4)
+@example([_random_signs(seed, 4, 0) for seed in range(3)], 3)
+def test_batched_kernel_equals_each_design_alone(stack, k):
+    """Each design's sum in a batch equals its own plain sum and the brute
+    force over J; k above the width gives 0."""
+    words = np.stack([design.neg_words for design in stack])
+    for chunk in CHUNKS:
+        with mock.patch.object(ssdopt.spectral, "_CHUNK", chunk):
+            sums = ssdopt.spectral._sum_squared_j(words, 0, stack[0].rows, k)
+        assert sums.shape == (len(stack),)
+        for design, total in zip(stack, sums.tolist()):
+            brute = sum(
+                j_characteristic(design, subset) ** 2
+                for subset in itertools.combinations(range(design.cols), k)
+            )
+            fresh = SignMatrix(design.entries, design.labels)
+            assert total == sum_j_squared(fresh, k) == brute
+            if k > design.cols:
+                assert total == 0
+
+
+@given(equivalent_saturated(), st.data())
+def test_packed_d_equals_d_parameter(saturated, data):
+    triple = data.draw(st.lists(
+        st.integers(0, saturated.cols - 1), min_size=3, max_size=3, unique=True
+    ))
+    rows = [saturated.neg_words[c] for c in triple]
+    columns = [saturated.column(c) for c in triple]
+    assert d_from_words(saturated.rows, *rows) == d_parameter(*columns)
 
 
 @given(random_designs(min_cols=2, max_cols=12), st.data())

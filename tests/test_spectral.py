@@ -21,6 +21,13 @@ from ssdopt import (
     sylvester_hadamard,
     to_hadamard_design,
     verify_lemma2,
+    verify_theorems,
+)
+from ssdopt.spectral import (
+    _half_fraction_d,
+    d_from_words,
+    sum_j_squared_anchored,
+    sum_j_squared_deleted,
 )
 
 
@@ -226,6 +233,36 @@ class TestSumJSquared:
             sum_j_squared(design, 0)
 
 
+class TestSumJSquaredDeleted:
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_equals_the_sum_of_each_child(self, n):
+        design = hadamard_design(n)
+        for r in range(4):
+            deletions = list(itertools.combinations(range(design.cols), r))
+            for s in (1, 3, 4, 5):
+                expected = [sum_j_squared(drop_columns(design, d)[0], s) for d in deletions]
+                assert sum_j_squared_deleted(design, deletions, s) == expected
+
+    def test_slices_of_the_batch_change_nothing(self, monkeypatch):
+        design = random_sign_matrix(np.random.default_rng(5), 10, 8)
+        deletions = list(itertools.combinations(range(8), 2))
+        expected = sum_j_squared_deleted(design, deletions, 4)
+        monkeypatch.setattr(ssdopt.spectral, "_CHUNK", 7)
+        assert sum_j_squared_deleted(design, deletions, 4) == expected
+        assert expected == [
+            sum_sq_bruteforce(drop_columns(design, d)[0], 4) for d in deletions
+        ]
+
+    def test_rejects_bad_deletion_sets(self):
+        design = hadamard_design(8)
+        assert sum_j_squared_deleted(design, [], 3) == []
+        for deletions in ([(0, 0)], [(0, 7)], [(-1,)], [(0,), (1, 2)], [0, 1]):
+            with pytest.raises(ValueError):
+                sum_j_squared_deleted(design, deletions, 3)
+        with pytest.raises(ValueError):
+            sum_j_squared_deleted(design, [(0,)], 0)
+
+
 class TestSumJSquaredFiltered:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(17)
@@ -347,6 +384,44 @@ class TestAnchoredSums:
         assert len(results) == 2332 and all(r.ok for r in results)
 
 
+class TestTabulatedTerms:
+    TABLES = ((3, 1), (3, 2), (4, 1), (4, 2))
+
+    def test_tables_answer_every_anchor_set_in_either_order(self, monkeypatch):
+        design = random_sign_matrix(np.random.default_rng(11), 12, 7)
+        expected = {
+            (s, fixed): sum_j_squared_filtered(design, s, fixed)
+            for s, anchors in self.TABLES
+            for fixed in itertools.permutations(range(7), anchors)
+        }
+        for s, anchors in self.TABLES:
+            anchored_j_squared_sums(design, s, anchors)
+
+        def forbidden(*args):
+            raise AssertionError("a tabulated term was enumerated")
+
+        monkeypatch.setattr(ssdopt.spectral, "sum_j_squared_filtered", forbidden)
+        for (s, fixed), value in expected.items():
+            assert sum_j_squared_anchored(design, s, fixed) == value
+        with pytest.raises(ValueError):
+            sum_j_squared_anchored(design, 3, (1, 1))
+
+    def test_untabulated_terms_enumerate_without_tabulating(self):
+        design = random_sign_matrix(np.random.default_rng(12), 12, 7)
+        for s, fixed in ((4, (5, 2)), (3, (6,))):
+            expected = filtered_bruteforce(design, s, sorted(fixed))
+            assert sum_j_squared_anchored(design, s, fixed) == expected
+        assert not design.j_squared_sums
+
+    def test_theorem_verdicts_read_the_start_tables(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("verify_theorems called sum_j_squared_filtered")
+
+        monkeypatch.setattr(ssdopt.spectral, "sum_j_squared_filtered", forbidden)
+        results = verify_theorems(12, cap=0)
+        assert results and all(r.ok for r in results)
+
+
 class TestDParameter:
     def test_pure_half_fractions(self):
         minus = np.array([1, 1, -1, -1] * 3)
@@ -374,6 +449,26 @@ class TestDParameter:
         ones = np.ones(4, dtype=int)
         with pytest.raises(ValueError):
             d_parameter(odd, ones, ones)
+
+    def test_packed_bits_raise_the_same_error(self):
+        odd = np.array([1, 1, 1, -1])
+        ones = np.ones(4, dtype=int)
+        words = SignMatrix.with_main_labels(np.stack([odd, ones, ones], axis=1)).neg_words
+        with pytest.raises(ValueError) as direct:
+            d_parameter(odd, ones, ones)
+        with pytest.raises(ValueError) as packed:
+            d_from_words(4, *words)
+        assert str(packed.value) == str(direct.value) == (
+            "triple does not decompose into half-fraction replicates (J3 = 2 with n = 4)"
+        )
+
+    def test_out_of_range_d_is_rejected(self):
+        # |J_3| <= n keeps the d of +-1 columns in 0..n/4, so only a J_3 that
+        # no triple has reaches this check, which both routes share.
+        for j3, d in ((16, 3), (-16, -1)):
+            with pytest.raises(ValueError) as raised:
+                _half_fraction_d(8, j3)
+            assert str(raised.value) == f"d = {d} outside 0..2"
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
