@@ -193,8 +193,9 @@ class SignMatrix:
     @cached_property
     def j_squared_sums(self) -> dict:
         """Memo of :func:`ssdopt.spectral.sum_j_squared` by order s, and of
-        :func:`ssdopt.spectral.anchored_j_squared_sums` by (s, anchors), whose
-        tables :func:`ssdopt.spectral.sum_j_squared_anchored` reads.
+        the tables of :func:`ssdopt.spectral.anchored_j_squared_sums` (one
+        batch of every column or column pair as fixed set) by (s, anchors),
+        which :func:`ssdopt.spectral.sum_j_squared_anchored` reads.
 
         The entries never change, so each is enumerated once per instance.
         """

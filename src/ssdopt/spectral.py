@@ -5,20 +5,19 @@ enumeration of J values over column subsets (the oracle of record) and the
 Krawtchouk transform of the distance distribution. Their agreement, order by
 order, is the identity n^2 * A_s = sum of J_s^2 over all s-subsets.
 
-Every squared-J sum, plain or filtered, runs through one kernel that visits
-every subset once: it XORs the columns' -1 bits, packed in as many uint64
-words as n needs, in fixed-size chunks, and popcounts the result. In tally
-mode the same pass also adds each subset's popcount to the histogram of each
-column (or column pair) it contains, so one enumeration of the s-subsets
-gives every filtered sum with one or two fixed columns
-(:func:`anchored_j_squared_sums`); the tables must sum to C(s, 1) or C(s, 2)
-times the plain sum, and :func:`sum_j_squared_anchored` reads a filtered
-sum from them once a design has them. The kernel also takes a leading batch axis of
-equal-width designs, enumerated in one pass with each design's subsets
-XORed and popcounted on their own: :func:`sum_j_squared_deleted` gives the
-plain sum of a design with each of many column sets deleted, without
-building those designs. The half-fraction d of a column triple comes from
-J_3 on the same packed bits (:func:`d_from_words`).
+Every squared-J sum runs through one batched enumeration
+(:func:`sum_j_squared_batch`): per item, the sum of J_s^2 over the s-subsets
+that avoid a deleted column set D and contain a fixed set F. Each item's free
+columns form one design of a batch of equal width, with its own base XOR(F),
+and one kernel visits every subset of each once: it XORs the columns' -1
+bits, packed in as many uint64 words as n needs, in fixed-size chunks, and
+popcounts the result. Plain sums (D and F empty), sums with many column sets
+deleted (:func:`sum_j_squared_deleted`), filtered sums and the tables of
+every filtered sum with one or two fixed columns
+(:func:`anchored_j_squared_sums`, checked against C(s, 1) or C(s, 2) times
+the plain sum) are all such batches; :func:`sum_j_squared_anchored` reads a
+filtered sum from a table once a design has it. The half-fraction d of a
+column triple comes from J_3 on the same packed bits (:func:`d_from_words`).
 
 J sums are exact integers; distributions and wordlength patterns are exact
 rationals.
@@ -30,7 +29,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -181,44 +179,30 @@ def _squares(n: int) -> np.ndarray:
     return (n - 2 * np.arange(n + 1, dtype=np.int64)) ** 2
 
 
-def _sum_squared_j(
-    words: np.ndarray, base: np.ndarray | int, n: int, k: int, anchors: int = 0
-):
-    """Exhaustive sum of J^2 over every k-subset S of the rows of ``words``,
-    where J = n - 2 * popcount(base ^ XOR of the rows in S); 0 if k > rows.
+def _sum_squared_j(words: np.ndarray, base, n: int, k: int) -> np.ndarray:
+    """Exhaustive sums of J^2 over every k-subset S of the rows of each of B
+    equal-width designs, ``words`` of shape (B, r, W): design b's sum has
+    J = n - 2 * popcount(base ^ XOR of the rows in S), and is 0 if k > r.
 
-    ``words`` is one design's (r, W) array or a batch of B such arrays of
-    equal r, shape (B, r, W), sharing ``base``; a batch returns an int64
-    array of B sums. Each design's subsets are XORed and popcounted on their
-    own. Each subset's XOR is one prefix row XOR one suffix row, formed
-    _CHUNK subsets at a time (_CHUNK // B per design in a batch, so the
-    temporaries do not grow with B). Plans of k <= 4 (halves of at most two
-    indices) are cached; larger ones are rebuilt per call. Nothing here
-    writes to a plan.
-
-    Tally mode (``anchors`` = 1 or 2) returns (sum, table) instead: the same
-    pass adds each subset's popcount to the histogram of every row (or row
-    pair a < b) in it, and table[a] (or table[a, b]) is the sum of J^2 over
-    the subsets that contain it; entries on and below the diagonal of the
-    pair table are 0. A batch gives B tables along a leading axis.
+    ``base`` is 0, one (W,) row for every design, or one (B, W) row per
+    design; the result is an int64 array of B sums. Each design's subsets
+    are XORed and popcounted on their own. Each subset's XOR is one prefix
+    row XOR one suffix row, formed _CHUNK subsets at a time (_CHUNK // B per
+    design, so the temporaries do not grow with B). Plans of k <= 4 (halves
+    of at most two indices) are cached; larger ones are rebuilt per call.
+    Nothing here writes to a plan.
     """
-    single = words.ndim == 2
-    stack = words[None] if single else words
-    designs, r = stack.shape[:2]
+    designs, r = words.shape[:2]
     plan = _small_plan if k <= 4 else _build_plan
     prefixes, suffixes, bounds, shift = plan(r, k)
-    prefix = np.bitwise_xor.reduce(stack.take(prefixes, axis=1), axis=2) ^ base
-    suffix = np.bitwise_xor.reduce(stack.take(suffixes, axis=1), axis=2)
+    if np.ndim(base) == 2:
+        base = base[:, None]
+    prefix = np.bitwise_xor.reduce(words.take(prefixes, axis=1), axis=2) ^ base
+    suffix = np.bitwise_xor.reduce(words.take(suffixes, axis=1), axis=2)
     subsets = int(bounds[-1])
-    # Design b counts popcount c in histogram bin b * (n + 1) + c and, for
-    # tally cell x, in cells bin (b * r**anchors + x) * (n + 1) + c.
+    # Design b counts popcount c in histogram bin b * (n + 1) + c.
     histogram = np.zeros(designs * (n + 1), dtype=np.int64)
     offsets = np.arange(designs)[:, None] * (n + 1)
-    cells = np.zeros(designs * r**anchors * (n + 1) if anchors else 0, dtype=np.int64)
-    # Bins wait until they outnumber the cells, so each bincount pays for
-    # its zeroed output at most once over.
-    pending: list[np.ndarray] = []
-    waiting = 0
     step = max(1, _CHUNK // designs)
     for start in range(0, subsets, step):
         stop = min(start + step, subsets)
@@ -232,27 +216,55 @@ def _sum_squared_j(
         xor = prefix[:, owners].repeat(runs, axis=1) ^ suffix.take(pairs, axis=1)
         popcounts = np.bitwise_count(xor).sum(axis=2, dtype=np.intp)
         histogram += np.bincount((popcounts + offsets).ravel(), minlength=len(histogram))
-        if anchors:
-            # rows[t] holds each subset's t-th smallest row index: the
-            # reversed prefix then the suffix is in increasing order, so
-            # position pairs t < u give row pairs a < b.
-            rows = [h.repeat(runs) for h in prefixes[owners].T[::-1]]
-            rows += [suffixes[pairs, t] for t in range(suffixes.shape[1])]
-            bins = popcounts + offsets * r**anchors
-            for group in itertools.combinations(rows, anchors):
-                cell = group[0] if anchors == 1 else group[0] * r + group[1]
-                pending.append((cell * (n + 1) + bins).ravel())
-                waiting += popcounts.size
-                if waiting >= len(cells) or stop == subsets:
-                    cells += np.bincount(np.concatenate(pending), minlength=len(cells))
-                    pending, waiting = [], 0
-    totals = histogram.reshape(designs, n + 1) @ _squares(n)
-    if single:
-        totals = int(totals[0])
-    if not anchors:
-        return totals
-    tables = (cells.reshape(-1, n + 1) @ _squares(n)).reshape((designs,) + (r,) * anchors)
-    return totals, tables[0] if single else tables
+    return histogram.reshape(designs, n + 1) @ _squares(n)
+
+
+def sum_j_squared_batch(
+    design: SignMatrix,
+    s: int,
+    deleted: Sequence[Sequence[int]],
+    fixed: Sequence[Sequence[int]],
+) -> np.ndarray:
+    """For each item b, the exhaustive sum of J_s(S)^2 over the s-subsets S
+    of the columns not in deleted[b] that contain every column of fixed[b]:
+    the filtered sum of ``design`` with deleted[b] deleted, without building
+    that design. Returns an int64 array with one sum per item.
+
+    Every deletion set has one size and every fixed set one size, either of
+    them possibly 0. Each item's free columns (neither deleted nor fixed)
+    are one design of a batch of equal width for the kernel, enumerated with
+    its own base, the XOR of its fixed columns. Slices of the batch keep
+    their prefix and suffix tables within _CHUNK words, so memory does not
+    grow with the number of items. Every squared-J sum of this module runs
+    here.
+    """
+    dropped = np.array(deleted, dtype=np.intp)
+    anchor = np.array(fixed, dtype=np.intp)
+    if dropped.ndim != 2 or anchor.ndim != 2 or len(dropped) != len(anchor):
+        raise ValueError("each item needs one deletion set and one fixed set")
+    if not 0 <= anchor.shape[1] <= s:
+        raise ValueError(f"order s must be at least the fixed set size, got s={s}")
+    q, items = design.cols, len(dropped)
+    taken = np.concatenate([dropped, anchor], axis=1)
+    if taken.size and not 0 <= taken.min() <= taken.max() < q:
+        raise ValueError(f"column index out of range for {q} columns")
+    free = np.ones((items, q), dtype=bool)
+    free[np.arange(items)[:, None], taken] = False
+    width = q - taken.shape[1]
+    if np.count_nonzero(free) != items * width:
+        raise ValueError("the columns of each item must be distinct")
+    kept = np.nonzero(free)[1].reshape(items, width)
+    words = design.neg_words
+    base = np.bitwise_xor.reduce(words[anchor], axis=1)
+    k = s - anchor.shape[1]
+    table_words = (math.comb(width, k // 2) + math.comb(width, k - k // 2)) * words.shape[1]
+    step = max(1, _CHUNK // max(1, table_words))
+    sums = np.zeros(items, dtype=np.int64)
+    for start in range(0, items, step):
+        batch = slice(start, start + step)
+        free_words = words.take(kept[batch], axis=0)
+        sums[batch] = _sum_squared_j(free_words, base[batch], design.rows, k)
+    return sums
 
 
 def sum_j_squared(design: SignMatrix, s: int) -> int:
@@ -265,7 +277,7 @@ def sum_j_squared(design: SignMatrix, s: int) -> int:
         raise ValueError(f"order s must be at least 1, got {s}")
     sums = design.j_squared_sums
     if s not in sums:
-        sums[s] = _sum_squared_j(design.neg_words, 0, design.rows, s)
+        sums[s] = int(sum_j_squared_batch(design, s, [()], [()])[0])
     return sums[s]
 
 
@@ -275,47 +287,25 @@ def sum_j_squared_deleted(
     """For each deletion set D (all of one size), the exhaustive sum of
     J_s(S)^2 over the s-subsets of the columns not in D: the
     :func:`sum_j_squared` of ``design`` with D deleted, without building it.
-
-    The kept columns of the sets form one batch of equal-width designs for
-    the kernel; slices of the batch keep its prefix and suffix tables within
-    _CHUNK words, so memory does not grow with the number of sets.
     """
     if s < 1:
         raise ValueError(f"order s must be at least 1, got {s}")
     if not deletions:
         return []
-    q = design.cols
-    dropped = np.array(deletions, dtype=np.intp)
-    if dropped.ndim != 2:
-        raise ValueError("deletion sets must be sequences of column positions")
-    if dropped.size and not 0 <= dropped.min() <= dropped.max() < q:
-        raise ValueError(f"column index out of range for {q} columns")
-    keep = np.ones((len(dropped), q), dtype=bool)
-    keep[np.arange(len(dropped))[:, None], dropped] = False
-    width = q - dropped.shape[1]
-    if np.count_nonzero(keep) != len(dropped) * width:
-        raise ValueError("each deletion set must have distinct entries")
-    kept = np.nonzero(keep)[1].reshape(len(dropped), width)
-    words = design.neg_words
-    table_words = (math.comb(width, s // 2) + math.comb(width, s - s // 2)) * words.shape[1]
-    step = max(1, _CHUNK // max(1, table_words))
-    sums: list[int] = []
-    for start in range(0, len(kept), step):
-        batch = words.take(kept[start : start + step], axis=0)
-        sums += _sum_squared_j(batch, 0, design.rows, s).tolist()
-    return sums
+    return sum_j_squared_batch(design, s, deletions, [()] * len(deletions)).tolist()
 
 
 def anchored_j_squared_sums(design: SignMatrix, s: int, anchors: int) -> np.ndarray:
-    """Every filtered sum of order s with 1 or 2 fixed columns, from one
-    exhaustive enumeration of the s-subsets.
+    """Every filtered sum of order s with 1 or 2 fixed columns, as one table
+    from one batch with each column (or column pair) as an item's fixed set.
 
     With ``anchors`` = 1, entry [c] is the sum of J_s(S)^2 over the s-subsets
     that contain column c; with ``anchors`` = 2, entry [a, b] for a < b is the
     sum over those that contain both (0 on and below the diagonal). Each
     subset adds to C(s, anchors) entries, so the table sums to C(s, anchors)
-    times the plain sum of order s; a table that does not raises
-    ArithmeticError. Each design instance enumerates each (s, anchors) once.
+    times the plain sum of order s, enumerated on its own; a table that does
+    not raises ArithmeticError. Each design instance tabulates each
+    (s, anchors) once.
     """
     if anchors not in (1, 2):
         raise ValueError(f"anchors must be 1 or 2, got {anchors}")
@@ -324,11 +314,13 @@ def anchored_j_squared_sums(design: SignMatrix, s: int, anchors: int) -> np.ndar
     sums = design.j_squared_sums
     key = (s, anchors)
     if key not in sums:
-        total, table = _sum_squared_j(design.neg_words, 0, design.rows, s, anchors)
-        plain = sums.setdefault(s, total)
+        plain = sum_j_squared(design, s)
+        fixed = _lex_subsets(design.cols, anchors)
+        table = np.zeros((design.cols,) * anchors, dtype=np.int64)
+        table[tuple(fixed.T)] = sum_j_squared_batch(design, s, fixed[:, :0], fixed)
         if int(table.sum()) != math.comb(s, anchors) * plain:
             raise ArithmeticError(
-                f"anchored J^2 tally of order {s} sums to {int(table.sum())}, "
+                f"anchored J^2 table of order {s} sums to {int(table.sum())}, "
                 f"not C({s}, {anchors}) * {plain}"
             )
         table.flags.writeable = False
@@ -345,10 +337,7 @@ def sum_j_squared_filtered(
         raise ValueError(f"fixed set must have 1 or 2 columns, got {len(anchor)}")
     if s <= len(anchor):
         raise ValueError(f"order s must exceed the fixed set size, got s={s}")
-    words = design.neg_words
-    base = functools.reduce(operator.xor, (words[c] for c in anchor))
-    rest = np.delete(words, anchor, axis=0)
-    return _sum_squared_j(rest, base, design.rows, s - len(anchor))
+    return int(sum_j_squared_batch(design, s, [()], [anchor])[0])
 
 
 def sum_j_squared_anchored(design: SignMatrix, s: int, fixed: Sequence[int]) -> int:

@@ -378,18 +378,20 @@ class TestCertificationFailure:
         )
 
     def test_corrupt_anchored_tally_exits_3(self, capsys, monkeypatch):
+        """A corrupt sum in a start's anchored table fails the table's check
+        against the plain sum, and the theorem sweep exits 3."""
         import ssdopt.spectral
 
-        real_kernel = ssdopt.spectral._sum_squared_j
+        real_batch = ssdopt.spectral.sum_j_squared_batch
 
-        def corrupt(words, base, n, k, anchors=0):
-            out = real_kernel(words, base, n, k, anchors)
-            if anchors:
-                out[1].flat[-1] += 4
-            return out
+        def corrupt(design, s, deleted, fixed):
+            sums = real_batch(design, s, deleted, fixed)
+            if len(fixed[0]):
+                sums[-1] += 4
+            return sums
 
-        monkeypatch.setattr(ssdopt.spectral, "_sum_squared_j", corrupt)
-        code, _, stderr = run(["verify-lemmas", "--n", "12", "--cap", "1"], capsys)
+        monkeypatch.setattr(ssdopt.spectral, "sum_j_squared_batch", corrupt)
+        code, _, stderr = run(["verify-theorems", "--n", "12", "--cap", "1"], capsys)
         assert code == 3
         assert "certification failed" in stderr and "anchored" in stderr
 

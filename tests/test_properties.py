@@ -223,6 +223,23 @@ def test_lemma_items_and_d_on_equivalent_saturated_designs(saturated):
         assert all(0 <= v <= n // 4 for v in d), r
 
 
+@settings(max_examples=20)
+@given(equivalent_saturated(orders=(8, 12, 16, 20)))
+def test_lemma2_items_equal_filtered_sums_of_each_child(saturated):
+    """Each lemma-2 item's value is the filtered sum of the child design with
+    its deleted columns dropped, through its specific columns' positions in
+    that child: the batched walk against one built child per check."""
+    order = {name: s for items in _LEMMA2.values() for (name, _), s in zip(items, (3, 4))}
+    position = {str(label): c for c, label in enumerate(saturated.labels)}
+    for r in _verify_items(saturated, _LEMMA2, cap=25):
+        fields = dict(token.split("=") for token in r.context.split())
+        deleted = [position[x] for x in fields.get("deleted", "").split(",") if x]
+        child = drop_columns(saturated, deleted)[0]
+        names = [str(label) for label in child.labels]
+        fixed = [names.index(fields[k]) for k in ("i0", "j0") if k in fields]
+        assert int(r.actual) == sum_j_squared_filtered(child, order[r.name], fixed), r
+
+
 # A chunk of 5 subsets puts chunk boundaries inside every prefix's run of
 # suffixes; the default chunk holds every enumeration these designs need.
 CHUNKS = (ssdopt.spectral._CHUNK, 5)
@@ -246,33 +263,39 @@ def _random_signs(seed: int, n: int, width: int) -> SignMatrix:
 
 @st.composite
 def sign_stacks(draw):
-    """1 to 5 random n x w sign matrices of one width, n <= 16 and w <= 6."""
+    """1 to 5 random n x (w + 1) sign matrices of one width, n <= 16 and
+    w <= 6: w columns and a last one whose -1 bits are the design's base."""
     n, width = draw(st.integers(1, 16)), draw(st.integers(0, 6))
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
-    return [_random_signs(seed, n, width) for seed in seeds]
+    return [_random_signs(seed, n, width + 1) for seed in seeds]
 
 
 @given(sign_stacks(), st.integers(1, 4))
-@example([_random_signs(7, 12, 5)], 3)
-@example([_random_signs(seed, 16, 2) for seed in range(5)], 4)
-@example([_random_signs(seed, 4, 0) for seed in range(3)], 3)
+@example([_random_signs(7, 12, 6)], 3)
+@example([_random_signs(seed, 16, 3) for seed in range(5)], 4)
+@example([_random_signs(seed, 4, 1) for seed in range(3)], 3)
 def test_batched_kernel_equals_each_design_alone(stack, k):
     """Each design's sum in a batch equals its own plain sum and the brute
-    force over J; k above the width gives 0."""
-    words = np.stack([design.neg_words for design in stack])
+    force over J, and with its own base row, the brute force over its
+    k-subsets joined with the base column; k above the width gives 0."""
+    width = stack[0].cols - 1
+    words = np.stack([design.neg_words[:width] for design in stack])
+    bases = np.stack([design.neg_words[width] for design in stack])
     for chunk in CHUNKS:
         with mock.patch.object(ssdopt.spectral, "_CHUNK", chunk):
             sums = ssdopt.spectral._sum_squared_j(words, 0, stack[0].rows, k)
-        assert sums.shape == (len(stack),)
-        for design, total in zip(stack, sums.tolist()):
-            brute = sum(
-                j_characteristic(design, subset) ** 2
-                for subset in itertools.combinations(range(design.cols), k)
+            based = ssdopt.spectral._sum_squared_j(words, bases, stack[0].rows, k)
+        assert sums.shape == based.shape == (len(stack),)
+        for design, total, with_base in zip(stack, sums.tolist(), based.tolist()):
+            subsets = list(itertools.combinations(range(width), k))
+            alone = SignMatrix(design.entries[:, :width], design.labels[:width])
+            brute = sum(j_characteristic(design, subset) ** 2 for subset in subsets)
+            assert total == sum_j_squared(alone, k) == brute
+            assert with_base == sum(
+                j_characteristic(design, subset + (width,)) ** 2 for subset in subsets
             )
-            fresh = SignMatrix(design.entries, design.labels)
-            assert total == sum_j_squared(fresh, k) == brute
-            if k > design.cols:
-                assert total == 0
+            if k > width:
+                assert total == with_base == 0
 
 
 @given(equivalent_saturated(), st.data())
@@ -300,9 +323,9 @@ def test_filtered_kernel_equals_extension_loop(design, data):
             expected = sum_over_extensions_loop(rest, base, design.rows, k)
             with mock.patch.object(ssdopt.spectral, "_CHUNK", chunk):
                 kernel = ssdopt.spectral._sum_squared_j(
-                    rest_words, base_words, design.rows, k
+                    rest_words[None], base_words, design.rows, k
                 )
-                assert kernel == expected
+                assert kernel.tolist() == [expected]
                 if k:
                     assert sum_j_squared_filtered(design, f + k, fixed) == expected
 

@@ -299,21 +299,22 @@ class TestSumJSquaredFiltered:
             sum_j_squared_filtered(design, 2, [0, 1])
 
 
-def counting_kernel(monkeypatch, corrupt=False):
-    """Patch the enumeration kernel to log (rows, k, anchors) per call; with
-    ``corrupt``, add 1 to the first cell of every anchored table."""
+def counting_batches(monkeypatch, corrupt=False):
+    """Patch the batched J entry point to log (order s, fixed set size) per
+    call; with ``corrupt``, add 1 to the first sum of every batch with fixed
+    columns."""
     calls = []
-    real_kernel = ssdopt.spectral._sum_squared_j
+    real_batch = ssdopt.spectral.sum_j_squared_batch
 
-    def kernel(words, base, n, k, anchors=0):
-        calls.append((words.shape[0], k, anchors))
-        out = real_kernel(words, base, n, k, anchors)
-        if corrupt and anchors:
-            total, table = out
-            table.flat[anchors - 1] += 1
-        return out
+    def batch(design, s, deleted, fixed):
+        sums = real_batch(design, s, deleted, fixed)
+        width = np.shape(fixed)[1]
+        calls.append((s, width))
+        if corrupt and width:
+            sums[0] += 1
+        return sums
 
-    monkeypatch.setattr(ssdopt.spectral, "_sum_squared_j", kernel)
+    monkeypatch.setattr(ssdopt.spectral, "sum_j_squared_batch", batch)
     return calls
 
 
@@ -327,16 +328,16 @@ class TestAnchoredSums:
         assert np.all(pairs[upper] == 144) and not pairs[~upper].any()
 
     def test_each_instance_enumerates_each_table_once(self, monkeypatch):
-        calls = counting_kernel(monkeypatch)
+        calls = counting_batches(monkeypatch)
         design = hadamard_design(12)
         for _ in range(2):
             for s, anchors in itertools.product((3, 4), (1, 2)):
                 anchored_j_squared_sums(design, s, anchors)
-        # The tally's plain sum is the order's memo too.
+        # Each order's plain sum is enumerated once, before its first table.
         assert sum_j_squared(design, 3) == 2640
-        assert calls == [(11, 3, 1), (11, 3, 2), (11, 4, 1), (11, 4, 2)]
+        assert calls == [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)]
         anchored_j_squared_sums(hadamard_design(12), 3, 1)
-        assert len(calls) == 5
+        assert calls[6:] == [(3, 0), (3, 1)]
 
     def test_tables_sum_to_binomial_times_plain_sum(self):
         design, _ = drop_columns(hadamard_design(16), [3])
@@ -346,7 +347,7 @@ class TestAnchoredSums:
 
     @pytest.mark.parametrize("anchors", [1, 2])
     def test_corrupted_cell_fails_the_identity(self, monkeypatch, anchors):
-        counting_kernel(monkeypatch, corrupt=True)
+        counting_batches(monkeypatch, corrupt=True)
         with pytest.raises(ArithmeticError, match="C\\(3, "):
             anchored_j_squared_sums(hadamard_design(12), 3, anchors)
 

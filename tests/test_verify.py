@@ -1,8 +1,9 @@
 """The lemma walk's exhaustive n = 12 output, item by item: how many checks
 each of the 18 items runs, and the context and expected value of its first
-and last check."""
+and last check; and how often the walk evaluates a closed form."""
 
-from ssdopt import verify_lemma1, verify_lemma2
+from ssdopt import hadamard_design, verify_lemma1, verify_lemma2
+from ssdopt.verify import _LEMMA2, _verify_items
 
 # name: (checks, (first context, first expected), (last context, last expected))
 LEMMA_ITEMS_12 = {
@@ -54,3 +55,20 @@ def test_exhaustive_lemma_items_at_n_12_are_pinned():
         first, last = checks[0], checks[-1]
         got = (len(checks), (first.context, first.expected), (last.context, last.expected))
         assert got == LEMMA_ITEMS_12[name], name
+
+
+def test_each_closed_form_runs_once_per_d():
+    """The walk evaluates a lemma item's closed form once per distinct d,
+    however many checks share that d."""
+    (name, form), other = _LEMMA2[(1, 2)]
+    calls = []
+
+    def counted(n, d):
+        calls.append(d)
+        return form(n, d)
+
+    results = _verify_items(hadamard_design(16), {(1, 2): ((name, counted), other)}, cap=0)
+    assert len(results) == 2 * 15 * 91 and all(r.ok for r in results)
+    seen = {r.context.rsplit("d=", 1)[1] for r in results}
+    assert len(seen) > 1
+    assert sorted(map(str, calls)) == sorted(seen)
