@@ -1,15 +1,15 @@
 """Layer timings of the exhaustive J enumeration.
 
 Times ``sum_j_squared`` of orders 3 and 4 on the saturated design
-``hadamard_design(n)`` at n = 12, 24, 32, 48, 64, every anchored table
-``anchored_j_squared_sums(design, s, a)`` for s in {3, 4} and a in {1, 2} on
-the same designs at n = 24, 48, 64, and the whole ``verify_lemma1(n)`` suite
-(default cap) at n = 12, 24, 32, 48, with plain ``time.perf_counter``. Each
-sum and each table runs on a fresh design instance, so the per-instance memo
-never answers it (a table's time includes the plain sum it is checked
-against). Writes one JSON file with the machine, the best and median times,
-and the values (a sha256 of each table), so two files compare outputs as
-well as times.
+``hadamard_design(n)`` at n = 12, 24, 32, 48, 64; the fill of each theorem
+start's memo at n = 24, 48, 64 with every J term of the capped (cap 500, the
+CLI default) theorem sweep's choices on that start, as ``verify_theorems``
+fills it before its verdicts (plain sums included); and the whole
+``verify_lemma1(n)`` suite (default cap) at n = 12, 24, 32, 48, with plain
+``time.perf_counter``. Each sum and each fill runs on a fresh design
+instance, so the per-instance memo never answers it. Writes one JSON file
+with the machine, the best and median times, and the values (a sha256 of
+each filled memo), so two files compare outputs as well as times.
 
     PYTHONPATH=src python benchmarks/bench_jsum.py [--out PATH]
 """
@@ -29,11 +29,20 @@ from pathlib import Path
 
 import numpy as np
 
-from ssdopt import anchored_j_squared_sums, hadamard_design, sum_j_squared, verify_lemma1
+from ssdopt import (
+    FAMILIES,
+    SignMatrix,
+    drop_columns,
+    hadamard_design,
+    sum_j_squared,
+    verify_lemma1,
+)
+from ssdopt.verify import _THEOREM_DEFICITS, _choices, _fill_terms
 
 SUM_ORDERS = (12, 24, 32, 48, 64)
-TABLE_ORDERS = (24, 48, 64)
-TABLE_REPEATS = 5
+FILL_ORDERS = (24, 48, 64)
+FILL_REPEATS = 5
+THEOREM_CAP = 500
 LEMMA1_ORDERS = (12, 24, 32, 48)
 SUM_REPEATS = 7
 LEMMA1_REPEATS = 3
@@ -72,19 +81,34 @@ def main(argv: list[str] | None = None) -> int:
                 | _summary(times)
             )
             print(f"sum_j_squared n={n} s={s}: {min(times):.4f} s", file=sys.stderr)
-    tables = []
-    for n in TABLE_ORDERS:
-        for s, anchors in ((3, 1), (3, 2), (4, 1), (4, 2)):
-            designs = [hadamard_design(n) for _ in range(TABLE_REPEATS)]
-            times, table = _timed(
-                lambda: anchored_j_squared_sums(designs.pop(), s, anchors), TABLE_REPEATS
-            )
-            tables.append(
-                {"n": n, "s": s, "anchors": anchors, "total": int(table.sum()),
-                 "table_sha256": hashlib.sha256(table.tobytes()).hexdigest()}
+    fills = []
+    for n in FILL_ORDERS:
+        for deficit in _THEOREM_DEFICITS:
+            start, removed = drop_columns(hadamard_design(n), list(range(n - deficit, n - 1)))
+            families = [
+                family
+                for kind, cells in FAMILIES.items() if deficit in cells
+                for _, family, _ in _choices(kind, start, removed, THEOREM_CAP)
+            ]
+            # Fresh starts with their full augmentation built, as the sweep's
+            # choices leave them before the fill.
+            starts = [SignMatrix(start.entries, start.labels) for _ in range(FILL_REPEATS)]
+            for fresh in starts:
+                fresh.augmented
+            filled = []
+
+            def fill():
+                filled.append(starts.pop())
+                _fill_terms(filled[-1], families)
+
+            times, _ = _timed(fill, FILL_REPEATS)
+            memo = sorted(filled[-1].j_squared_sums.items())
+            fills.append(
+                {"n": n, "q": n - deficit, "choices": len(families), "keys": len(memo),
+                 "memo_sha256": hashlib.sha256(repr(memo).encode()).hexdigest()}
                 | _summary(times)
             )
-            print(f"anchored_j_squared_sums n={n} s={s} a={anchors}: "
+            print(f"theorem term fill n={n} q=n-{deficit} ({len(memo)} keys): "
                   f"{min(times) * 1e3:.2f} ms", file=sys.stderr)
     lemma1 = []
     for n in LEMMA1_ORDERS:
@@ -105,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": np.__version__,
         },
         "sum_j_squared": sums,
-        "anchored_j_squared_sums": tables,
+        "theorem_term_fill": fills,
         "verify_lemma1": lemma1,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")

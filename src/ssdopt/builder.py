@@ -15,17 +15,21 @@ column-position pair, so rebuilding with the same inputs is byte-identical.
 :data:`FAMILIES` holds, in theorem order, one :class:`Cell` per family and
 covered deficit k (q = n - k): the cell's exact E(s^2), the lower bound the
 paper displays for it and the displayed gap between the two. A build accepts
-exactly the covered deficits. Each build records the J-characteristic terms
-of the columns it chose (:attr:`SsdBuild.j_terms`), from which
-``es2.es2_via_j`` recomputes E(s^2) without knowing the family.
+exactly the covered deficits. :func:`j_terms` states, once for every family,
+the J-characteristic terms of the columns a choice keeps; each build records
+them (:attr:`SsdBuild.j_terms`), from which ``es2.es2_via_j`` recomputes
+E(s^2) without knowing the family.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from .core import ColumnLabel, SignMatrix, verify_oa_strength2
 from .spectral import d_from_words
@@ -109,9 +113,9 @@ FAMILIES: dict[str, dict[int, Cell]] = {
     },
 }
 
-#: (coefficient c, order s, fixed start positions F): c times the sum of J_s^2
-#: over the s-subsets of the start's columns that contain F (all of them when
-#: F is empty).
+#: (coefficient c, order s, fixed start positions F, increasing): c times the
+#: sum of J_s^2 over the s-subsets of the start's columns that contain F (all
+#: of them when F is empty).
 JTerm = tuple[int, int, tuple[int, ...]]
 
 # With all mains and interactions present, each nonzero J_3 meets X^T X in
@@ -171,6 +175,42 @@ class SsdBuild:
     d: int | None = None
 
 
+@functools.lru_cache(maxsize=64)
+def _pairs(q: int) -> np.ndarray:
+    """Factor positions (u, v) of each interaction of the full augmentation
+    of q columns, one read-only row each in column order: interaction i is
+    column q + i."""
+    pairs = np.transpose(np.triu_indices(q, k=1))
+    pairs.flags.writeable = False
+    return pairs
+
+
+def j_terms(start: SignMatrix, family: SsdFamily) -> tuple[JTerm, ...]:
+    """The J terms of the numerator of E(s^2) of ``family`` built on
+    ``start``, in J-characteristics of ``start``: E(s^2) is their sum over
+    m(m - 1).
+
+    A minus-one deletion takes its own cells out of the full augmentation's
+    X^T X: a main column c its J_3 cells through c (-2 F_3(c)), an
+    interaction a*b its J_3 and J_4 cells through a and b (-2 F_3(a, b) -
+    2 F_4(a, b)). The interactions-only family keeps only the J_4 cells; the
+    single-parent family keeps the interactions through the parent, so X^T X
+    holds each J_3 through the parent in four cells (4 F_3(parent)).
+    """
+    if family.kind == FULL:
+        return _FULL_TERMS
+    if family.kind == INTERACTIONS_ONLY:
+        return ((6, 4, ()),)
+    if family.kind == SINGLE_PARENT:
+        return ((4, 3, (family.parent,)),)
+    q = start.cols
+    pos = start.augmented.label_position(family.deleted)
+    if pos < q:
+        return _FULL_TERMS + ((-2, 3, (pos,)),)
+    pair = tuple(_pairs(q)[pos - q].tolist())
+    return _FULL_TERMS + ((-2, 3, pair), (-2, 4, pair))
+
+
 def _require_start(start: SignMatrix, kind: str, what: str) -> None:
     n, q = start.rows, start.cols
     deficits = FAMILIES[kind]
@@ -181,18 +221,14 @@ def _require_start(start: SignMatrix, kind: str, what: str) -> None:
         raise ValueError("starting array is not an orthogonal array of strength 2")
 
 
-def _pair_position(q: int, u: int, v: int) -> int:
-    """Position of the interaction of columns u < v in the full augmentation."""
-    return q + u * (2 * q - u - 1) // 2 + (v - u - 1)
-
-
 def build_full(start: SignMatrix) -> SsdBuild:
     """Augment the starting array with all of its two-column interactions."""
     _require_start(start, FULL, "full augmentation")
     q = start.cols
     if start.rows > q + math.comb(q, 2):
         raise ValueError("design would not be supersaturated: n > q + C(q, 2)")
-    return SsdBuild(start.augmented, start, SsdFamily.full(), _FULL_TERMS)
+    family = SsdFamily.full()
+    return SsdBuild(start.augmented, start, family, j_terms(start, family))
 
 
 def build_minus_one(
@@ -203,36 +239,29 @@ def build_minus_one(
     ``removed`` carries the columns dropped from the saturated parent on the
     way to ``start``; with a one-column ``removed`` and an interaction
     deletion at q = n - 2 it determines the d recorded on the build.
-
-    The deleted column takes its own cells out of X^T X: a main column c
-    its J_3 cells through c (-2 F_3(c)), an interaction a*b its J_3 and J_4
-    cells through a and b (-2 F_3(a, b) - 2 F_4(a, b)).
     """
     _require_start(start, MINUS_ONE, "minus-one augmentation")
-    full = start.augmented
+    full, q = start.augmented, start.cols
     try:
         pos = full.label_position(delete)
     except ValueError:
         raise ValueError(f"{delete} is not a column of the full augmentation") from None
-    design = full.take([c for c in range(full.cols) if c != pos])
+    design = full.take([*range(pos), *range(pos + 1, full.cols)])
+    family = SsdFamily.minus_one(delete)
     d = None
-    if delete.is_interaction:
-        pa = start.label_position(ColumnLabel.main(delete.i))
-        pb = start.label_position(ColumnLabel.main(delete.j))
-        terms = _FULL_TERMS + ((-2, 3, (pa, pb)), (-2, 4, (pa, pb)))
-        if start.rows - start.cols == 2 and removed is not None and removed.cols == 1:
-            words = start.neg_words
-            d = d_from_words(start.rows, removed.neg_words[0], words[pa], words[pb])
-    else:
-        terms = _FULL_TERMS + ((-2, 3, (start.label_position(delete),)),)
-    return SsdBuild(design, start, SsdFamily.minus_one(delete), terms, d)
+    if pos >= q and start.rows - q == 2 and removed is not None and removed.cols == 1:
+        pa, pb = _pairs(q)[pos - q]
+        words = start.neg_words
+        d = d_from_words(start.rows, removed.neg_words[0], words[pa], words[pb])
+    return SsdBuild(design, start, family, j_terms(start, family), d)
 
 
 def build_interactions_only(start: SignMatrix) -> SsdBuild:
     """Keep only the C(q, 2) two-column interactions of the starting array."""
     _require_start(start, INTERACTIONS_ONLY, "interactions-only construction")
     design = start.augmented.take(list(range(start.cols, start.augmented.cols)))
-    return SsdBuild(design, start, SsdFamily.interactions_only(), ((6, 4, ()),))
+    family = SsdFamily.interactions_only()
+    return SsdBuild(design, start, family, j_terms(start, family))
 
 
 def build_single_parent(
@@ -241,24 +270,17 @@ def build_single_parent(
     """All mains plus the q - 1 interactions involving one parent column.
 
     At q = n - 3 the evaluation formula depends on d; it is computed from the
-    two ``removed`` columns and the parent column when provided. Only the
-    interactions through the parent remain, so X^T X holds each J_3 through
-    the parent in four cells (4 F_3(parent)).
+    two ``removed`` columns and the parent column when provided.
     """
     _require_start(start, SINGLE_PARENT, "single-parent augmentation")
     if not 0 <= parent < start.cols:
         raise ValueError(f"parent index {parent} out of range")
     q = start.cols
-    interactions = [
-        _pair_position(q, min(parent, v), max(parent, v))
-        for v in range(q)
-        if v != parent
-    ]
-    design = start.augmented.take(list(range(q)) + sorted(interactions))
+    through = np.flatnonzero((_pairs(q) == parent).any(axis=1))
+    design = start.augmented.take(list(range(q)) + (q + through).tolist())
+    family = SsdFamily.single_parent(parent)
     d = None
     if start.rows - start.cols == 3 and removed is not None and removed.cols == 2:
         rows = removed.neg_words
         d = d_from_words(start.rows, rows[0], rows[1], start.neg_words[parent])
-    return SsdBuild(
-        design, start, SsdFamily.single_parent(parent), ((4, 3, (parent,)),), d
-    )
+    return SsdBuild(design, start, family, j_terms(start, family), d)

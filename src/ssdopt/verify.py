@@ -15,17 +15,20 @@ Neighbouring checks share their enumerations; every one stays exhaustive.
 The lemma walk sends its choices, a slice at a time, through one batched
 enumeration per order, each choice as an item with its deleted columns and
 its specific columns (as positions of the saturated design); no child design
-is built. Each item's closed form is evaluated once per d. Every theorem
-build of one start reads its filtered J terms from that start's anchored
-tables, each tabulated once (and checked against its plain sum).
+is built. Each item's closed form is evaluated once per d. The theorem
+walk lists every choice of one start first and fills the start's memo with
+all of their J terms (:func:`builder.j_terms`), one batch per order and
+fixed-set size; it then builds and judges one choice at a time, and each
+verdict reads its terms from the memo.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .builder import (
     FAMILIES,
@@ -33,14 +36,16 @@ from .builder import (
     MINUS_ONE,
     SINGLE_PARENT,
     SsdBuild,
+    SsdFamily,
     build_full,
     build_interactions_only,
     build_minus_one,
     build_single_parent,
+    j_terms,
 )
 from .core import SignMatrix, drop_columns, hadamard_design
 from .es2 import verdict
-from .spectral import anchored_j_squared_sums, d_from_words, sum_j_squared_batch
+from .spectral import d_from_words, filtered_sums, sum_j_squared_batch
 
 # Not called here: ssdbench/test_ssdbench.py counts this binding among the
 # four it expects the tracer to wrap (spectral, es2, verify and the package).
@@ -181,17 +186,29 @@ def verify_lemma2(
 
 def _choices(
     kind: str, start: SignMatrix, removed: SignMatrix, cap: int | None
-) -> Iterator[tuple[str, SsdBuild]]:
-    """(context suffix, build) of each choice a family's theorem ranges over:
-    none, each deleted column or each parent factor (the last two capped)."""
+) -> Iterator[tuple[str, SsdFamily, Callable[[], SsdBuild]]]:
+    """(context suffix, family, build maker) of each choice a family's
+    theorem ranges over: none, each deleted column or each parent factor (the
+    last two capped)."""
     if kind == MINUS_ONE:
         for delete in _capped(start.augmented.labels, cap):
-            yield f" delete={delete}", build_minus_one(start, delete, removed)
+            yield (f" delete={delete}", SsdFamily.minus_one(delete),
+                   functools.partial(build_minus_one, start, delete, removed))
     elif kind == SINGLE_PARENT:
         for p in _capped(range(start.cols), cap):
-            yield f" parent={start.labels[p]}", build_single_parent(start, p, removed)
+            yield (f" parent={start.labels[p]}", SsdFamily.single_parent(p),
+                   functools.partial(build_single_parent, start, p, removed))
     else:
-        yield "", (build_full if kind == FULL else build_interactions_only)(start)
+        make = build_full if kind == FULL else build_interactions_only
+        yield "", SsdFamily(kind), functools.partial(make, start)
+
+
+def _fill_terms(start: SignMatrix, families: Iterable[SsdFamily]) -> None:
+    """Enumerate every J term of the families' builds on ``start`` into its
+    memo: one :func:`spectral.filtered_sums` call per order."""
+    terms = [term for family in families for term in j_terms(start, family)]
+    for s in sorted({s for _, s, _ in terms}):
+        filtered_sums(start, s, [fixed for _, order, fixed in terms if order == s])
 
 
 _THEOREM_DEFICITS = (1, 2, 3)
@@ -224,22 +241,21 @@ def verify_theorems(
     results: list[CheckResult] = []
     for deficit in _THEOREM_DEFICITS:
         start, removed = drop_columns(saturated, list(range(n - deficit, n - 1)))
-        for number, (kind, cells) in enumerate(FAMILIES.items(), start=1):
-            if deficit not in cells:
-                continue
-            cell, name = cells[deficit], f"theorem{number}"
-            for suffix, build in _choices(kind, start, removed, cap):
-                # The start serves every build of its q: tabulate each
-                # filtered J term once, for all of their verdicts to read.
-                for _, s, fixed in build.j_terms:
-                    if fixed:
-                        anchored_j_squared_sums(start, s, len(fixed))
-                context = f"q=n-{deficit}{suffix}"
-                report, gap = verdict(build), cell.gap(n, build.d)
-                results += [
-                    _result(f"{name}.es2", n, context, cell.es2(n, build.d), report.es2),
-                    _result(f"{name}.lb", n, context, cell.bound(n), report.lower_bound),
-                    _result(f"{name}.gap", n, context, gap, report.gap),
-                    _result(f"{name}.optimal", n, context, gap == 0, report.optimal),
-                ]
+        choices = [
+            (f"theorem{number}", cells[deficit], choice)
+            for number, (kind, cells) in enumerate(FAMILIES.items(), start=1)
+            if deficit in cells
+            for choice in _choices(kind, start, removed, cap)
+        ]
+        _fill_terms(start, (family for _, _, (_, family, _) in choices))
+        for name, cell, (suffix, _, make) in choices:
+            build = make()
+            context = f"q=n-{deficit}{suffix}"
+            report, gap = verdict(build), cell.gap(n, build.d)
+            results += [
+                _result(f"{name}.es2", n, context, cell.es2(n, build.d), report.es2),
+                _result(f"{name}.lb", n, context, cell.bound(n), report.lower_bound),
+                _result(f"{name}.gap", n, context, gap, report.gap),
+                _result(f"{name}.optimal", n, context, gap == 0, report.optimal),
+            ]
     return results

@@ -69,8 +69,8 @@ class TestGenerate:
         assert "c2" not in header and "c5" not in header and "c1" in header
 
     def test_single_build_tabulates_no_anchored_sums(self, tmp_path, capsys, monkeypatch):
-        """A lone build's verdict enumerates its filtered terms: anchored
-        tables only pay off where one start serves many builds."""
+        """A lone build's verdict enumerates only its own J terms: its
+        start's memo holds exactly the (s, F) keys of the build's terms."""
         import ssdopt.cli
 
         builds = []
@@ -89,7 +89,8 @@ class TestGenerate:
         assert len(builds) == 3
         for build in builds:
             assert any(fixed for _, _, fixed in build.j_terms)
-            assert all(isinstance(key, int) for key in build.start.j_squared_sums)
+            own = {(s, fixed) for _, s, fixed in build.j_terms}
+            assert set(build.start.j_squared_sums) == own
 
     def test_invalid_n_exits_2(self, tmp_path, capsys):
         code, _, stderr = run(
@@ -378,8 +379,8 @@ class TestCertificationFailure:
         )
 
     def test_corrupt_anchored_tally_exits_3(self, capsys, monkeypatch):
-        """A corrupt sum in a start's anchored table fails the table's check
-        against the plain sum, and the theorem sweep exits 3."""
+        """A corrupt sum in every batch of fixed sets fails the verdict's
+        direct versus J check, and the theorem sweep exits 3."""
         import ssdopt.spectral
 
         real_batch = ssdopt.spectral.sum_j_squared_batch
@@ -387,13 +388,13 @@ class TestCertificationFailure:
         def corrupt(design, s, deleted, fixed):
             sums = real_batch(design, s, deleted, fixed)
             if len(fixed[0]):
-                sums[-1] += 4
+                sums += 4
             return sums
 
         monkeypatch.setattr(ssdopt.spectral, "sum_j_squared_batch", corrupt)
         code, _, stderr = run(["verify-theorems", "--n", "12", "--cap", "1"], capsys)
         assert code == 3
-        assert "certification failed" in stderr and "anchored" in stderr
+        assert "certification failed" in stderr and "routes disagree" in stderr
 
 
 class TestUsage:

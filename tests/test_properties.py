@@ -25,7 +25,6 @@ from ssdopt import (
     SINGLE_PARENT,
     SignMatrix,
     aliasing_report,
-    anchored_j_squared_sums,
     build_full,
     build_interactions_only,
     build_minus_one,
@@ -33,6 +32,7 @@ from ssdopt import (
     design_csv_text,
     drop_columns,
     es2_direct,
+    filtered_sums,
     gwp_via_krawtchouk,
     hadamard_design,
     j_characteristic,
@@ -337,23 +337,22 @@ def test_filtered_kernel_equals_extension_loop(design, data):
     )
 )
 def test_anchored_tables_equal_filtered_sums_and_extension_loop(design):
-    # s = 5 runs the plan that is rebuilt per call (k > 4).
+    # One fill of every 1- and 2-column fixed set per order, on a fresh
+    # instance per chunk size; s = 5 runs the plan that is rebuilt per call
+    # (k > 4).
     q, n, masks = design.cols, design.rows, neg_masks_loop(design)
     for chunk in CHUNKS:
         with mock.patch.object(ssdopt.spectral, "_CHUNK", chunk):
             fresh = SignMatrix(design.entries, design.labels)
             for anchors, s in itertools.product((1, 2), (3, 4, 5)):
-                table = anchored_j_squared_sums(fresh, s, anchors)
-                assert table.shape == (q,) * anchors
-                for fixed in itertools.combinations(range(q), anchors):
+                sets = list(itertools.combinations(range(q), anchors))
+                for fixed, value in zip(sets, filtered_sums(fresh, s, sets)):
                     rest = [m for c, m in enumerate(masks) if c not in fixed]
                     base = functools.reduce(operator.xor, (masks[c] for c in fixed))
                     expected = sum_over_extensions_loop(rest, base, n, s - anchors)
-                    assert table[fixed] == expected
+                    assert value == expected
                     if chunk == ssdopt.spectral._CHUNK:
                         assert sum_j_squared_filtered(design, s, fixed) == expected
-                if anchors == 2:
-                    assert not np.tril(table).any()
 
 
 @given(designs)

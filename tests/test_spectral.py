@@ -8,10 +8,12 @@ import pytest
 import ssdopt.spectral
 from ssdopt import (
     SignMatrix,
-    anchored_j_squared_sums,
+    build_full,
+    build_minus_one,
     d_parameter,
     distance_distribution,
     drop_columns,
+    filtered_sums,
     gwp_via_krawtchouk,
     hadamard_design,
     j_characteristic,
@@ -20,15 +22,11 @@ from ssdopt import (
     sum_j_squared_filtered,
     sylvester_hadamard,
     to_hadamard_design,
+    verdict,
     verify_lemma2,
     verify_theorems,
 )
-from ssdopt.spectral import (
-    _half_fraction_d,
-    d_from_words,
-    sum_j_squared_anchored,
-    sum_j_squared_deleted,
-)
+from ssdopt.spectral import _half_fraction_d, d_from_words, sum_j_squared_batch
 
 
 def krawtchouk_bruteforce(i, j, q):
@@ -233,6 +231,11 @@ class TestSumJSquared:
             sum_j_squared(design, 0)
 
 
+def deleted_sums(design, deletions, s):
+    """The batch's sum for each deletion set, with empty fixed sets."""
+    return sum_j_squared_batch(design, s, deletions, [()] * len(deletions)).tolist()
+
+
 class TestSumJSquaredDeleted:
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_equals_the_sum_of_each_child(self, n):
@@ -241,26 +244,27 @@ class TestSumJSquaredDeleted:
             deletions = list(itertools.combinations(range(design.cols), r))
             for s in (1, 3, 4, 5):
                 expected = [sum_j_squared(drop_columns(design, d)[0], s) for d in deletions]
-                assert sum_j_squared_deleted(design, deletions, s) == expected
+                assert deleted_sums(design, deletions, s) == expected
 
     def test_slices_of_the_batch_change_nothing(self, monkeypatch):
         design = random_sign_matrix(np.random.default_rng(5), 10, 8)
         deletions = list(itertools.combinations(range(8), 2))
-        expected = sum_j_squared_deleted(design, deletions, 4)
+        expected = deleted_sums(design, deletions, 4)
         monkeypatch.setattr(ssdopt.spectral, "_CHUNK", 7)
-        assert sum_j_squared_deleted(design, deletions, 4) == expected
+        assert deleted_sums(design, deletions, 4) == expected
         assert expected == [
             sum_sq_bruteforce(drop_columns(design, d)[0], 4) for d in deletions
         ]
 
     def test_rejects_bad_deletion_sets(self):
         design = hadamard_design(8)
-        assert sum_j_squared_deleted(design, [], 3) == []
         for deletions in ([(0, 0)], [(0, 7)], [(-1,)], [(0,), (1, 2)], [0, 1]):
             with pytest.raises(ValueError):
-                sum_j_squared_deleted(design, deletions, 3)
+                deleted_sums(design, deletions, 3)
         with pytest.raises(ValueError):
-            sum_j_squared_deleted(design, [(0,)], 0)
+            sum_j_squared_batch(design, 3, [(0,)], [(0, 2)])
+        with pytest.raises(ValueError):
+            sum_j_squared_batch(design, 1, [()], [(1, 2)])
 
 
 class TestSumJSquaredFiltered:
@@ -299,79 +303,95 @@ class TestSumJSquaredFiltered:
             sum_j_squared_filtered(design, 2, [0, 1])
 
 
-def counting_batches(monkeypatch, corrupt=False):
+def counting_batches(monkeypatch):
     """Patch the batched J entry point to log (order s, fixed set size) per
-    call; with ``corrupt``, add 1 to the first sum of every batch with fixed
-    columns."""
+    call."""
     calls = []
     real_batch = ssdopt.spectral.sum_j_squared_batch
 
     def batch(design, s, deleted, fixed):
-        sums = real_batch(design, s, deleted, fixed)
-        width = np.shape(fixed)[1]
-        calls.append((s, width))
-        if corrupt and width:
-            sums[0] += 1
-        return sums
+        calls.append((s, np.shape(fixed)[1]))
+        return real_batch(design, s, deleted, fixed)
 
     monkeypatch.setattr(ssdopt.spectral, "sum_j_squared_batch", batch)
     return calls
 
 
 class TestAnchoredSums:
+    """Filtered sums with fixed (anchored) columns, through the memo."""
+
     def test_saturated_closed_forms(self):
         design = hadamard_design(12)
-        assert anchored_j_squared_sums(design, 3, 1).tolist() == [720] * 11
-        assert anchored_j_squared_sums(design, 4, 1).tolist() == [144 * 10 * 8 // 6] * 11
-        pairs = anchored_j_squared_sums(design, 3, 2)
-        upper = np.triu(np.ones((11, 11), dtype=bool), 1)
-        assert np.all(pairs[upper] == 144) and not pairs[~upper].any()
+        singles = [(c,) for c in range(11)]
+        pairs = list(itertools.combinations(range(11), 2))
+        assert filtered_sums(design, 3, singles) == [720] * 11
+        assert filtered_sums(design, 4, singles) == [144 * 10 * 8 // 6] * 11
+        assert filtered_sums(design, 3, pairs) == [144] * 55
 
     def test_each_instance_enumerates_each_table_once(self, monkeypatch):
         calls = counting_batches(monkeypatch)
         design = hadamard_design(12)
         for _ in range(2):
             for s, anchors in itertools.product((3, 4), (1, 2)):
-                anchored_j_squared_sums(design, s, anchors)
-        # Each order's plain sum is enumerated once, before its first table.
+                filtered_sums(design, s, itertools.combinations(range(11), anchors))
         assert sum_j_squared(design, 3) == 2640
-        assert calls == [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)]
-        anchored_j_squared_sums(hadamard_design(12), 3, 1)
-        assert calls[6:] == [(3, 0), (3, 1)]
+        assert calls == [(3, 1), (3, 2), (4, 1), (4, 2), (3, 0)]
+        filtered_sums(design, 3, [(4, 2), (0,), (0, 1, 2), (), (2, 4)])
+        assert calls[5:] == [(3, 3)]
+        filtered_sums(hadamard_design(12), 3, [(1,)])
+        assert calls[6:] == [(3, 1)]
 
     def test_tables_sum_to_binomial_times_plain_sum(self):
         design, _ = drop_columns(hadamard_design(16), [3])
         for s, anchors in itertools.product((3, 4, 5), (1, 2)):
-            table = anchored_j_squared_sums(design, s, anchors)
-            assert int(table.sum()) == math.comb(s, anchors) * sum_j_squared(design, s)
+            sets = itertools.combinations(range(design.cols), anchors)
+            total = sum(filtered_sums(design, s, sets))
+            assert total == math.comb(s, anchors) * sum_j_squared(design, s)
 
     @pytest.mark.parametrize("anchors", [1, 2])
     def test_corrupted_cell_fails_the_identity(self, monkeypatch, anchors):
-        counting_batches(monkeypatch, corrupt=True)
-        with pytest.raises(ArithmeticError, match="C\\(3, "):
-            anchored_j_squared_sums(hadamard_design(12), 3, anchors)
+        """A wrong sum in a batch of fixed sets fails the verdict's direct
+        versus J check of the build that reads it."""
+        start, _ = drop_columns(hadamard_design(12), [10])
+        real_batch = ssdopt.spectral.sum_j_squared_batch
+
+        def corrupt(design, s, deleted, fixed):
+            sums = real_batch(design, s, deleted, fixed)
+            if np.shape(fixed)[1] == anchors:
+                sums[0] += 4
+            return sums
+
+        monkeypatch.setattr(ssdopt.spectral, "sum_j_squared_batch", corrupt)
+        delete = start.augmented.labels[0 if anchors == 1 else start.cols]
+        with pytest.raises(ArithmeticError, match="routes disagree"):
+            verdict(build_minus_one(start, delete))
 
     def test_identity_uses_an_earlier_plain_sum(self):
         design = hadamard_design(12)
-        design.j_squared_sums[3] = 2640 + 1
-        with pytest.raises(ArithmeticError, match="2641"):
-            anchored_j_squared_sums(design, 3, 1)
+        design.j_squared_sums[3, ()] = 2640 + 1
+        assert sum_j_squared(design, 3) == 2641
+        with pytest.raises(ArithmeticError, match="routes disagree"):
+            verdict(build_full(design))
 
     def test_tables_are_read_only(self):
-        table = anchored_j_squared_sums(hadamard_design(12), 3, 2)
-        with pytest.raises(ValueError):
-            table[0, 1] = 0
+        design = hadamard_design(12)
+        values = filtered_sums(design, 3, [(0, 1)])
+        values[0] = 0
+        assert filtered_sums(design, 3, [(1, 0)]) == [144]
+        assert all(type(v) is int for v in design.j_squared_sums.values())
 
     def test_order_above_columns_gives_zero_tables(self):
         design = SignMatrix.with_main_labels(np.ones((4, 3), dtype=np.int8))
-        assert anchored_j_squared_sums(design, 4, 1).tolist() == [0, 0, 0]
-        assert not anchored_j_squared_sums(design, 5, 2).any()
+        assert filtered_sums(design, 4, [(0,), (1,), (2,)]) == [0, 0, 0]
+        assert filtered_sums(design, 5, itertools.combinations(range(3), 2)) == [0] * 3
+        assert filtered_sums(design, 4, [()]) == [0]
 
     def test_rejects_bad_arguments(self):
         design = hadamard_design(12)
-        for s, anchors in ((3, 0), (3, 3), (1, 1), (2, 2)):
+        for s, fixed in ((3, (1, 1)), (3, (0, 11)), (3, (-1,)), (1, (0, 1))):
             with pytest.raises(ValueError):
-                anchored_j_squared_sums(design, s, anchors)
+                filtered_sums(design, s, [fixed])
+        assert not design.j_squared_sums
 
     def test_lemma2_reads_no_filtered_sum(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -386,41 +406,49 @@ class TestAnchoredSums:
 
 
 class TestTabulatedTerms:
-    TABLES = ((3, 1), (3, 2), (4, 1), (4, 2))
+    """The memo answers every filtered term, however it is asked for."""
 
     def test_tables_answer_every_anchor_set_in_either_order(self, monkeypatch):
         design = random_sign_matrix(np.random.default_rng(11), 12, 7)
         expected = {
-            (s, fixed): sum_j_squared_filtered(design, s, fixed)
-            for s, anchors in self.TABLES
+            (s, fixed): filtered_bruteforce(design, s, fixed)
+            for s, anchors in ((3, 1), (3, 2), (4, 1), (4, 2))
             for fixed in itertools.permutations(range(7), anchors)
         }
-        for s, anchors in self.TABLES:
-            anchored_j_squared_sums(design, s, anchors)
-
-        def forbidden(*args):
-            raise AssertionError("a tabulated term was enumerated")
-
-        monkeypatch.setattr(ssdopt.spectral, "sum_j_squared_filtered", forbidden)
+        calls = counting_batches(monkeypatch)
         for (s, fixed), value in expected.items():
-            assert sum_j_squared_anchored(design, s, fixed) == value
-        with pytest.raises(ValueError):
-            sum_j_squared_anchored(design, 3, (1, 1))
+            assert filtered_sums(design, s, [fixed, fixed]) == [value, value]
+            if len(fixed) == 2:
+                assert sum_j_squared_filtered(design, s, fixed[::-1]) == value
+        assert len(calls) == 7 + 21 + 7 + 21
+        assert len(design.j_squared_sums) == len(calls)
 
     def test_untabulated_terms_enumerate_without_tabulating(self):
         design = random_sign_matrix(np.random.default_rng(12), 12, 7)
         for s, fixed in ((4, (5, 2)), (3, (6,))):
             expected = filtered_bruteforce(design, s, sorted(fixed))
-            assert sum_j_squared_anchored(design, s, fixed) == expected
-        assert not design.j_squared_sums
+            assert sum_j_squared_filtered(design, s, fixed) == expected
+        assert set(design.j_squared_sums) == {(4, (2, 5)), (3, (6,))}
 
     def test_theorem_verdicts_read_the_start_tables(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("verify_theorems called sum_j_squared_filtered")
+        """One batch per (start, order, fixed-set size), all before the
+        start's first verdict; no verdict enumerates anything."""
+        calls = counting_batches(monkeypatch)
+        real_verdict = ssdopt.verify.verdict
+        batches_at_verdicts = []
 
-        monkeypatch.setattr(ssdopt.spectral, "sum_j_squared_filtered", forbidden)
+        def watched(build):
+            batches_at_verdicts.append(len(calls))
+            return real_verdict(build)
+
+        monkeypatch.setattr(ssdopt.verify, "verdict", watched)
         results = verify_theorems(12, cap=0)
         assert results and all(r.ok for r in results)
+        fixed = [call for call in calls if call[1]]
+        assert fixed == [(3, 1), (3, 2), (4, 2)] * 2 + [(3, 1)]
+        assert len(calls) == 13
+        # Between two starts' verdicts lie exactly the next start's fills.
+        assert sorted(set(batches_at_verdicts)) == [5, 10, 13]
 
 
 class TestDParameter:

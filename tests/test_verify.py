@@ -1,9 +1,10 @@
 """The lemma walk's exhaustive n = 12 output, item by item: how many checks
 each of the 18 items runs, and the context and expected value of its first
-and last check; and how often the walk evaluates a closed form."""
+and last check; how often the walk evaluates a closed form; and the
+symmetry of every claim in d."""
 
-from ssdopt import hadamard_design, verify_lemma1, verify_lemma2
-from ssdopt.verify import _LEMMA2, _verify_items
+from ssdopt import FAMILIES, hadamard_design, verify_lemma1, verify_lemma2
+from ssdopt.verify import _LEMMA1, _LEMMA2, _verify_items
 
 # name: (checks, (first context, first expected), (last context, last expected))
 LEMMA_ITEMS_12 = {
@@ -72,3 +73,29 @@ def test_each_closed_form_runs_once_per_d():
     seen = {r.context.rsplit("d=", 1)[1] for r in results}
     assert len(seen) > 1
     assert sorted(map(str, calls)) == sorted(seen)
+
+
+def _uses_d(form) -> bool:
+    try:
+        form(8, None)
+    except (TypeError, ValueError):
+        return True
+    return False
+
+
+def test_every_d_claim_is_symmetric_under_d_to_n_over_4_minus_d():
+    """Every claim that uses d depends on it only through u = 16d(n - 4d),
+    so it takes the same value at d and n/4 - d, for n = 8, 12, ..., 2000."""
+    forms = [
+        (f"{kind} k={k} {field}", getattr(cell, field))
+        for kind, cells in FAMILIES.items()
+        for k, cell in cells.items()
+        for field in ("es2", "gap")
+    ] + [(name, form) for blocks in (_LEMMA1, _LEMMA2)
+         for items in blocks.values() for name, form in items]
+    forms = [(name, form) for name, form in forms if _uses_d(form)]
+    assert len(forms) == 2 + 6
+    for name, form in forms:
+        for n in range(8, 2001, 4):
+            for d in range(n // 8 + 1):
+                assert form(n, d) == form(n, n // 4 - d), (name, n, d)
