@@ -2,6 +2,8 @@
 supersaturated designs built from orthogonal arrays and their two-column
 interactions."""
 
+from types import ModuleType as _ModuleType
+
 from .builder import (
     FAMILIES,
     FULL,
@@ -78,66 +80,8 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AliasedPairs",
-    "CheckResult",
-    "ColumnLabel",
-    "CsvFormatError",
-    "D_of",
-    "DEFAULT_MAX_ORDER",
-    "Decomposition",
-    "DistanceDistribution",
-    "FAMILIES",
-    "FULL",
-    "GwpVector",
-    "INTERACTIONS_ONLY",
-    "MINUS_ONE",
-    "OptimalityReport",
-    "SINGLE_PARENT",
-    "SignMatrix",
-    "SsdBuild",
-    "SsdFamily",
-    "aliasing_report",
-    "bound_details",
-    "build_full",
-    "build_interactions_only",
-    "build_minus_one",
-    "build_single_parent",
-    "d_parameter",
-    "decimal_str",
-    "decompose_m",
-    "design_csv_text",
-    "distance_distribution",
-    "drop_columns",
-    "dump_json",
-    "es2_closed_form",
-    "es2_direct",
-    "es2_via_j",
-    "evaluate_report",
-    "filtered_sums",
-    "fraction_json",
-    "gwp_via_krawtchouk",
-    "hadamard_design",
-    "hadamard_matrix",
-    "j_characteristic",
-    "j_terms",
-    "json_text",
-    "krawtchouk",
-    "lower_bound",
-    "normalize",
-    "paley_hadamard",
-    "parse_design_csv",
-    "read_design_csv",
-    "report_json",
-    "sidecar_json",
-    "sum_j_squared",
-    "sum_j_squared_filtered",
-    "sylvester_hadamard",
-    "to_hadamard_design",
-    "verdict",
-    "verify_lemma1",
-    "verify_lemma2",
-    "verify_oa_strength2",
-    "verify_theorems",
-    "write_design_csv",
-]
+#: The names imported above; the submodules they bind are not exported.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

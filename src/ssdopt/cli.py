@@ -1,8 +1,10 @@
 """Command-line surface: generate, evaluate, verify-lemmas, verify-theorems.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 certification failure (the exact E(s^2) routes of a verdict disagree, or
-the value falls below the lower bound).
+Exit codes: 0 success, 1 verification failure (under verify-theorems, a
+build that disagrees with a claim of its cell), 2 usage or input error,
+3 certification failure (the exact E(s^2) routes of a verdict disagree, the
+value falls below the lower bound, or under generate the build disagrees
+with a claim of its cell).
 All commands are deterministic; identical invocations produce identical bytes.
 """
 
@@ -105,6 +107,12 @@ def _cmd_generate(args) -> int:
         build = build_single_parent(start, parent, removed)
 
     report = verdict(build)
+    for claim in report.claims:
+        if not claim.ok:
+            raise ArithmeticError(
+                f"the cell states {claim.name} = {claim.stated}, "
+                f"the build computes {claim.computed}"
+            )
     out = Path(args.out if args.out else f"ssd_n{args.n}_{args.family}.csv")
     write_design_csv(out, build.design)
     sidecar = sidecar_json(build, report)

@@ -5,8 +5,11 @@ computed two ways that must agree exactly: directly from the inner products
 (through the row Gram X X^T, whose squared entries total those of X^T X), and
 through the J-characteristics of the starting array, summing the terms
 each build records for the columns it chose (each nonzero J_3 and J_4 value
-appears six times in X^T X for a full augmentation). Closed-form values
-are the ``es2`` of each cell in ``builder.FAMILIES``.
+appears six times in X^T X for a full augmentation).
+
+A build's cell in ``builder.FAMILIES`` states its E(s^2), bound and gap; the
+verdict judges the build against them, recording each claim beside the
+computed value rather than trusting or enforcing it.
 
 The lower bound applies to balanced designs with n = 0 (mod 4) and m =
 a(n-1) +/- r columns, a >= 1 and 0 <= r <= n/2:
@@ -22,8 +25,9 @@ All values are exact rationals; "optimal" means the gap is exactly zero.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .builder import FAMILIES, SsdBuild, SsdFamily
 from .core import AliasedPairs, SignMatrix, aliasing_report
@@ -46,19 +50,16 @@ def es2_direct(design: SignMatrix) -> Fraction:
 def es2_via_j(build: SsdBuild) -> Fraction:
     """E(s^2) recomputed from the starting array's J-characteristics.
 
-    Sums the build's recorded ``j_terms``, each read from the start's memo
-    of squared-J sums under its key (s, F) and enumerated into it by
-    ``spectral.filtered_sums`` when absent. Independent of :func:`es2_direct`; the two must agree
-    exactly for every build, which the verdict enforces.
+    Sums the build's recorded ``j_terms``, read through
+    :func:`spectral.filtered_sums` with one call per order, which enumerates
+    the terms its memo lacks. Independent of :func:`es2_direct`; the two must
+    agree exactly for every build, which the verdict enforces.
     """
-    start = build.start
-    memo = start.j_squared_sums
-    numerator = 0
-    for coefficient, s, fixed in build.j_terms:
-        value = memo.get((s, fixed))
-        if value is None:
-            value = filtered_sums(start, s, [fixed])[0]
-        numerator += coefficient * value
+    numerator, terms = 0, build.j_terms
+    for s in dict.fromkeys(order for _, order, _ in terms):
+        of_order = [(c, fixed) for c, order, fixed in terms if order == s]
+        sums = filtered_sums(build.start, s, [fixed for _, fixed in of_order])
+        numerator += sum(c * value for (c, _), value in zip(of_order, sums))
     m = build.design.cols
     return Fraction(numerator, m * (m - 1))
 
@@ -155,9 +156,28 @@ def lower_bound(n: int, m: int) -> Fraction:
     return bound_details(n, m)[2]
 
 
+class Claim(NamedTuple):
+    """One claim of a build's cell: the value the cell states and the value
+    the verdict computed for the build."""
+
+    name: str
+    stated: object
+    computed: object
+
+    @property
+    def ok(self) -> bool:
+        return self.stated == self.computed
+
+
 @dataclass(frozen=True, eq=False)
 class OptimalityReport:
-    """Everything the verdict knows about one build."""
+    """Everything the verdict knows about one build.
+
+    ``claims`` are the cell's E(s^2), bound, gap and optimal flag, in that
+    order, or none when no cell covers the build or its cell needs a d the
+    build lacks (``cell_note`` says which). ``aliased`` and ``notes`` are
+    computed from ``design`` on first read.
+    """
 
     n: int
     m: int
@@ -168,17 +188,32 @@ class OptimalityReport:
     es2: Fraction
     gap: Fraction
     optimal: bool
-    aliased: AliasedPairs
     d: int | None
-    notes: str
+    claims: tuple[Claim, ...]
+    cell_note: str | None
+    design: SignMatrix = field(repr=False)
+
+    @functools.cached_property
+    def aliased(self) -> AliasedPairs:
+        return aliasing_report(self.design)
+
+    @functools.cached_property
+    def notes(self) -> str:
+        aliasing = (
+            f"{len(self.aliased)} fully aliased column pair(s) present; "
+            "the construction preconditions exclude these"
+            if self.aliased else "all column pairs partially aliased"
+        )
+        return "; ".join(filter(None, (self.cell_note, aliasing)))
 
 
 def verdict(build: SsdBuild) -> OptimalityReport:
-    """Evaluate a build: exact E(s^2), bound, gap, aliasing, optimal flag.
+    """Evaluate a build: exact E(s^2), bound, gap, optimal flag, and the
+    claims of its cell against them.
 
-    Internal cross-checks are enforced, not assumed: the direct and J-route
-    E(s^2) must agree, the closed form must agree whenever its cell is
-    covered, and the bound must not exceed the achieved value.
+    The program's own cross-checks are enforced, not assumed: the direct and
+    J-route E(s^2) must agree, and the bound must not exceed the achieved
+    value. A cell's claims are recorded, agreeing or not, for the caller.
     """
     design = build.design
     n, m = design.rows, design.cols
@@ -188,31 +223,25 @@ def verdict(build: SsdBuild) -> OptimalityReport:
         raise ArithmeticError(
             f"inner-product and J-characteristic routes disagree: {es2} vs {via_j}"
         )
-    notes = []
-    try:
-        closed = es2_closed_form(build.family, n, build.start.cols, build.d)
-    except ValueError:
-        if n - build.start.cols in FAMILIES[build.family.kind]:
-            notes.append("the closed form of this cell needs d, which was not recorded")
-        else:
-            notes.append("no closed form covers this cell")
-    else:
-        if closed != es2:
-            raise ArithmeticError(
-                f"closed form {closed} disagrees with computed E(s^2) {es2}"
-            )
     decs, chosen, lb = bound_details(n, m)
     gap = es2 - lb
     if gap < 0:
         raise ArithmeticError(f"E(s^2) {es2} fell below the bound {lb}")
-    aliased = aliasing_report(design)
-    if aliased:
-        notes.append(
-            f"{len(aliased)} fully aliased column pair(s) present; "
-            "the construction preconditions exclude these"
-        )
+    claims, cell_note = (), None
+    cell = FAMILIES[build.family.kind].get(n - build.start.cols)
+    if cell is None:
+        cell_note = "no closed form covers this cell"
     else:
-        notes.append("all column pairs partially aliased")
+        try:
+            stated_gap = cell.gap(n, build.d)
+            claims = (
+                Claim("es2", cell.es2(n, build.d), es2),
+                Claim("lb", cell.bound(n), lb),
+                Claim("gap", stated_gap, gap),
+                Claim("optimal", stated_gap == 0, gap == 0),
+            )
+        except ValueError:
+            cell_note = "the closed form of this cell needs d, which was not recorded"
     return OptimalityReport(
         n=n,
         m=m,
@@ -223,7 +252,8 @@ def verdict(build: SsdBuild) -> OptimalityReport:
         es2=es2,
         gap=gap,
         optimal=gap == 0,
-        aliased=aliased,
         d=build.d,
-        notes="; ".join(notes),
+        claims=claims,
+        cell_note=cell_note,
+        design=design,
     )

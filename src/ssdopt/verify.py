@@ -3,7 +3,8 @@
 The exhaustive J enumeration is the oracle of record; every closed form is a
 claim under test, never the oracle. Each check compares one enumeration (or
 one verdict) against one claimed value. A theorem cell's claims are those of
-its ``builder.FAMILIES`` cell, whose order is the theorems' order. A lemma
+its ``builder.FAMILIES`` cell, whose order is the theorems' order; the
+verdict evaluates them and each becomes one check. A lemma
 block (r, a) states its items for s = 3 and 4 on the saturated design with r
 columns deleted, summing over the subsets through a chosen specific columns
 (all subsets when a = 0); d, of the removed then the specific columns, is
@@ -60,10 +61,6 @@ class CheckResult:
     expected: str
     actual: str
     ok: bool
-
-
-def _result(name: str, n: int, context: str, expected, actual) -> CheckResult:
-    return CheckResult(name, n, context, str(expected), str(actual), expected == actual)
 
 
 def _capped(iterable: Iterable, cap: int | None) -> Iterator:
@@ -204,11 +201,13 @@ def _choices(
 
 
 def _fill_terms(start: SignMatrix, families: Iterable[SsdFamily]) -> None:
-    """Enumerate every J term of the families' builds on ``start`` into its
-    memo: one :func:`spectral.filtered_sums` call per order."""
-    terms = [term for family in families for term in j_terms(start, family)]
-    for s in sorted({s for _, s, _ in terms}):
-        filtered_sums(start, s, [fixed for _, order, fixed in terms if order == s])
+    """Enumerate the distinct (s, F) keys of the families' J terms on
+    ``start`` into its memo: one :func:`spectral.filtered_sums` call per order."""
+    keys = dict.fromkeys(
+        (s, fixed) for family in families for _, s, fixed in j_terms(start, family)
+    )
+    for s in sorted({s for s, _ in keys}):
+        filtered_sums(start, s, [fixed for order, fixed in keys if order == s])
 
 
 _THEOREM_DEFICITS = (1, 2, 3)
@@ -228,8 +227,9 @@ def check_theorem_order(n: int) -> None:
 def verify_theorems(
     n: int, construction: str = "auto", cap: int | None = 500
 ) -> list[CheckResult]:
-    """Every covered (family, q, choice) cell against the E(s^2), bound and
-    gap its :data:`builder.FAMILIES` cell states; theorem i is the i-th family.
+    """Every covered (family, q, choice) cell against the E(s^2), bound, gap
+    and optimal flag its :data:`builder.FAMILIES` cell states, as the verdict
+    records them (``OptimalityReport.claims``); theorem i is the i-th family.
 
     Starting arrays are the saturated design with the highest-index columns
     dropped. Theorem choice iteration (deleted column, parent factor) is
@@ -242,20 +242,17 @@ def verify_theorems(
     for deficit in _THEOREM_DEFICITS:
         start, removed = drop_columns(saturated, list(range(n - deficit, n - 1)))
         choices = [
-            (f"theorem{number}", cells[deficit], choice)
+            (f"theorem{number}", choice)
             for number, (kind, cells) in enumerate(FAMILIES.items(), start=1)
             if deficit in cells
             for choice in _choices(kind, start, removed, cap)
         ]
-        _fill_terms(start, (family for _, _, (_, family, _) in choices))
-        for name, cell, (suffix, _, make) in choices:
-            build = make()
+        _fill_terms(start, (family for _, (_, family, _) in choices))
+        for name, (suffix, _, make) in choices:
             context = f"q=n-{deficit}{suffix}"
-            report, gap = verdict(build), cell.gap(n, build.d)
             results += [
-                _result(f"{name}.es2", n, context, cell.es2(n, build.d), report.es2),
-                _result(f"{name}.lb", n, context, cell.bound(n), report.lower_bound),
-                _result(f"{name}.gap", n, context, gap, report.gap),
-                _result(f"{name}.optimal", n, context, gap == 0, report.optimal),
+                CheckResult(f"{name}.{claim.name}", n, context, str(claim.stated),
+                            str(claim.computed), claim.ok)
+                for claim in verdict(make()).claims
             ]
     return results

@@ -1,11 +1,13 @@
 import argparse
+import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 import ssdopt.designio
-from ssdopt import FAMILIES, GwpVector, SignMatrix, verify_lemma1
+from ssdopt import FAMILIES, SINGLE_PARENT, GwpVector, SignMatrix, verify_lemma1
 from ssdopt.cli import _build_parser, main
 
 
@@ -395,6 +397,77 @@ class TestCertificationFailure:
         code, _, stderr = run(["verify-theorems", "--n", "12", "--cap", "1"], capsys)
         assert code == 3
         assert "certification failed" in stderr and "routes disagree" in stderr
+
+
+@pytest.fixture
+def wrong_single_parent_k2(monkeypatch):
+    """FAMILIES[SINGLE_PARENT][2] with its E(s^2) claim off by one; its bound
+    and gap claims are untouched."""
+    cell = FAMILIES[SINGLE_PARENT][2]
+    wrong = dataclasses.replace(cell, es2=lambda n, d: cell.es2(n, d) + 1)
+    monkeypatch.setitem(FAMILIES[SINGLE_PARENT], 2, wrong)
+    return cell
+
+
+class TestWrongCellClaim:
+    def test_verify_theorems_prints_fail_and_exits_1(self, capsys, wrong_single_parent_k2):
+        code, stdout, stderr = run(["verify-theorems", "--n", "12"], capsys)
+        assert (code, stderr) == (1, "")
+        table, listing = stdout[: stdout.index("[")], stdout[stdout.index("[") :]
+        expected = THEOREMS_12_16[: THEOREMS_12_16.index("PASS theorem1.es2 n=16")]
+        assert table == expected.replace(
+            "PASS theorem4.es2 n=12 checks=30 failures=0",
+            "FAIL theorem4.es2 n=12 checks=30 failures=10",
+        )
+        failures = json.loads(listing)
+        assert [f["context"] for f in failures] == [
+            f"q=n-2 parent=c{p}" for p in range(1, 11)
+        ]
+        for failure in failures:
+            assert failure["name"] == "theorem4.es2" and not failure["ok"]
+            actual = Fraction(failure["actual"])
+            assert actual == wrong_single_parent_k2.es2(12, None)
+            assert Fraction(failure["expected"]) == actual + 1
+
+    def test_generate_exits_3_and_writes_no_file(
+        self, tmp_path, capsys, wrong_single_parent_k2
+    ):
+        argv = ["generate", "--n", "12", "--drop", "1", "--family", "single-parent",
+                "--parent", "1", "--out", str(tmp_path / "d.csv"),
+                "--report", str(tmp_path / "r.json")]
+        code, stdout, stderr = run(argv, capsys)
+        assert (code, stdout) == (3, "")
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: certification failed: the cell states es2 = ")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAliasingOnDemand:
+    def test_verify_theorems_never_computes_aliasing(self, capsys, monkeypatch):
+        import ssdopt.core
+
+        original, calls = ssdopt.core.aliasing_report, []
+
+        def counting(design):
+            calls.append(design)
+            return original(design)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ssdopt") and getattr(
+                module, "aliasing_report", None
+            ) is original:
+                monkeypatch.setattr(module, "aliasing_report", counting)
+        assert run(["verify-theorems", "--n", "12", "16"], capsys) == (0, THEOREMS_12_16, "")
+        assert calls == []
+
+    def test_generate_still_reports_sylvester_16_aliasing(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        argv = ["generate", "--n", "16", "--construction", "sylvester", "--out", str(out)]
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0 and "aliased_pairs=420 " in stdout
+        report = json.loads(out.with_suffix(".meta.json").read_text())["report"]
+        assert len(report["aliased_pairs"]) == 420
+        assert report["notes"].startswith("420 fully aliased column pair(s) present;")
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -218,6 +219,23 @@ class TestVerdict:
         assert report.gap == Fraction(8, 105)
         assert not report.optimal
 
+    def test_claims_are_recorded_in_order(self):
+        start, removed = start_with_removed(12, 2)
+        report = verdict(build_single_parent(start, 0, removed))
+        assert [claim.name for claim in report.claims] == ["es2", "lb", "gap", "optimal"]
+        assert all(claim.ok for claim in report.claims)
+        assert report.claims[2] == ("gap", Fraction(16, 57), report.gap)
+        assert report.claims[3] == ("optimal", False, False)
+
+    def test_a_wrong_cell_claim_is_recorded_not_raised(self, monkeypatch):
+        cell = FAMILIES["full"][1]
+        monkeypatch.setitem(
+            FAMILIES["full"], 1, dataclasses.replace(cell, bound=lambda n: cell.bound(n) + 1)
+        )
+        report = verdict(build_full(hadamard_design(12)))
+        assert [claim.name for claim in report.claims if not claim.ok] == ["lb"]
+        assert report.claims[1] == ("lb", Fraction(144, 13) + 1, Fraction(144, 13))
+
     def test_aliasing_surfaces_in_notes(self):
         start = hadamard_design(16, "sylvester")
         report = verdict(build_full(start))
@@ -260,6 +278,7 @@ class TestVerdict:
             "the closed form of this cell needs d, which was not recorded;"
         )
         assert "no closed form covers" not in report.notes
+        assert report.claims == ()
 
     def test_uncovered_deficit_keeps_its_note(self):
         # no theorem covers the full augmentation at q = n - 4, so only a
@@ -269,6 +288,7 @@ class TestVerdict:
         build = SsdBuild(start.augmented, start, SsdFamily.full(), terms)
         report = verdict(build)
         assert report.notes.startswith("no closed form covers this cell;")
+        assert report.claims == ()
         assert report.es2 == es2_direct(start.augmented)
 
     def test_gap_never_negative_across_families(self):
