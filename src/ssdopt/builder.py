@@ -236,6 +236,8 @@ def build_minus_one(
 ) -> SsdBuild:
     """Full augmentation minus one named main or interaction column.
 
+    The design comes from :meth:`SignMatrix.without`, so its squared Gram
+    total is downdated from the full augmentation's, computed once per start.
     ``removed`` carries the columns dropped from the saturated parent on the
     way to ``start``; with a one-column ``removed`` and an interaction
     deletion at q = n - 2 it determines the d recorded on the build.
@@ -246,7 +248,7 @@ def build_minus_one(
         pos = full.label_position(delete)
     except ValueError:
         raise ValueError(f"{delete} is not a column of the full augmentation") from None
-    design = full.take([*range(pos), *range(pos + 1, full.cols)])
+    design = full.without(pos)
     family = SsdFamily.minus_one(delete)
     d = None
     if pos >= q and start.rows - q == 2 and removed is not None and removed.cols == 1:

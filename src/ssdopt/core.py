@@ -138,18 +138,41 @@ class SignMatrix:
         wide = self.entries.astype(np.int64)
         return wide.T @ wide
 
-    def take(self, positions) -> "SignMatrix":
-        """The columns at ``positions`` (distinct, in range), in that order.
-
-        The entries of a valid design need no revalidation, so the selection
-        skips it: it is read-only and carries the columns' labels.
-        """
+    @staticmethod
+    def _selected(entries: np.ndarray, labels: tuple) -> "SignMatrix":
+        """Columns selected from a valid design, which need no revalidation:
+        made read-only and wrapped as they are."""
         out = object.__new__(SignMatrix)
-        entries = self.entries[:, positions]
         entries.flags.writeable = False
-        labels = self.labels
         object.__setattr__(out, "entries", entries)
-        object.__setattr__(out, "labels", tuple([labels[p] for p in positions]))
+        object.__setattr__(out, "labels", labels)
+        return out
+
+    def take(self, positions) -> "SignMatrix":
+        """The columns at ``positions`` (distinct, in range), in that order,
+        unvalidated (:meth:`_selected`), carrying the columns' labels."""
+        labels = self.labels
+        return self._selected(self.entries[:, positions], tuple([labels[p] for p in positions]))
+
+    def without(self, pos: int) -> "SignMatrix":
+        """This design without the column at ``pos``, unvalidated (:meth:`_selected`).
+
+        Its squared Gram total is seeded with the exact downdate G - 2 |X^T x|^2
+        + n^2 of column x, whose inner products X^T x take one popcount pass of
+        x's packed bits against every column's (:attr:`neg_words`), so no row
+        Gram is recomputed.
+        """
+        if not 0 <= pos < self.cols:
+            raise ValueError(f"column index {pos} out of range for {self.cols} columns")
+        n, words = self.rows, self.neg_words
+        inner = n - 2 * np.bitwise_count(words ^ words[pos]).sum(axis=1, dtype=np.int64)
+        out = self._selected(
+            np.concatenate([self.entries[:, :pos], self.entries[:, pos + 1 :]], axis=1),
+            self.labels[:pos] + self.labels[pos + 1 :],
+        )
+        out.__dict__["gram_square_sum"] = (
+            self.gram_square_sum - 2 * int(inner @ inner) + n * n
+        )
         return out
 
     def row_gram(self) -> np.ndarray:
@@ -172,7 +195,7 @@ class SignMatrix:
         """Sum of the squared entries of X^T X, diagonal included.
 
         Read off the n x n row Gram, whose squared entries have the same total,
-        so no m x m array is formed.
+        so no m x m array is formed; :meth:`without` seeds it with a downdate.
         """
         g = self.row_gram()
         return int(np.sum(g * g))

@@ -2,10 +2,12 @@
 
 E(s^2) is the average of the squared off-diagonal entries of X^T X. It is
 computed two ways that must agree exactly: directly from the inner products
-(through the row Gram X X^T, whose squared entries total those of X^T X), and
-through the J-characteristics of the starting array, summing the terms
-each build records for the columns it chose (each nonzero J_3 and J_4 value
-appears six times in X^T X for a full augmentation).
+(through the row Gram X X^T, whose squared entries total those of X^T X; a
+minus-one build downdates its full augmentation's total by the deleted
+column's inner products instead), and through the J-characteristics of the
+starting array, summing the terms each build records for the columns it
+chose (each nonzero J_3 and J_4 value appears six times in X^T X for a full
+augmentation).
 
 A build's cell in ``builder.FAMILIES`` states its E(s^2), bound and gap; the
 verdict judges the build against them, recording each claim beside the
@@ -38,8 +40,10 @@ from .spectral import sum_j_squared  # noqa: F401  (a binding the tracer counts)
 def es2_direct(design: SignMatrix) -> Fraction:
     """Average squared off-diagonal entry of X^T X, as an exact rational.
 
-    Computed from the n x n row Gram: the squared entries of X^T X and of
-    X X^T have the same total, and the m diagonal entries of X^T X are n.
+    Reads the design's squared Gram total (:attr:`SignMatrix.gram_square_sum`):
+    from the n x n row Gram, as the squared entries of X^T X and of X X^T have
+    the same total, or, for a design from :meth:`SignMatrix.without`, as the
+    exact downdate of its parent's total. The m diagonal entries of X^T X are n.
     """
     n, m = design.rows, design.cols
     if m < 2:

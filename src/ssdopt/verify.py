@@ -16,11 +16,15 @@ Neighbouring checks share their enumerations; every one stays exhaustive.
 The lemma walk sends its choices, a slice at a time, through one batched
 enumeration per order, each choice as an item with its deleted columns and
 its specific columns (as positions of the saturated design); no child design
-is built. Each item's closed form is evaluated once per d. The theorem
-walk lists every choice of one start first and fills the start's memo with
-all of their J terms (:func:`builder.j_terms`), one batch per order and
-fixed-set size; it then builds and judges one choice at a time, and each
-verdict reads its terms from the memo.
+is built. The d of a slice's triples comes from one XOR and popcount of
+their packed columns, and each item's closed form is evaluated once per d.
+The theorem walk lists every choice of one start first and fills the start's
+memo with all of their J terms (:func:`builder.j_terms`), one batch per
+order and fixed-set size; it then builds and judges one choice at a time,
+and each verdict reads its terms from the memo. A minus-one build is the
+start's full augmentation without one column, whose squared Gram total its
+verdict reads as a downdate of the full one's (:meth:`SignMatrix.without`),
+so no minus-one build forms a row Gram.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .builder import (
     FAMILIES,
@@ -46,7 +52,7 @@ from .builder import (
 )
 from .core import SignMatrix, drop_columns, hadamard_design
 from .es2 import verdict
-from .spectral import d_from_words, filtered_sums, sum_j_squared_batch
+from .spectral import _half_fraction_d, filtered_sums, sum_j_squared_batch
 
 # Not called here: ssdbench/test_ssdbench.py counts this binding among the
 # four it expects the tracer to wrap (spectral, es2, verify and the package).
@@ -125,13 +131,30 @@ _LEMMA2: dict[tuple[int, int], tuple] = {
 _SLICE = 1 << 12
 
 
-def _enumerated(saturated: SignMatrix, choices: Iterator) -> Iterator:
-    """(deleted, chosen, (order-3 sum, order-4 sum)) of each choice, taken
-    _SLICE at a time through one batched enumeration per order."""
+def _lemma_choices(q: int, r: int, a: int) -> Iterator:
+    """Each (r deleted, a specific) choice of q columns, lexicographically."""
+    for deleted in itertools.combinations(range(q), r):
+        rest = [c for c in range(q) if c not in deleted]
+        for chosen in itertools.combinations(rest, a):
+            yield deleted, chosen
+
+
+def _enumerated(saturated: SignMatrix, choices: Iterator, with_d: bool) -> Iterator:
+    """(deleted, chosen, d, (order-3 sum, order-4 sum)) of each choice, taken
+    _SLICE at a time through one batched enumeration per order; d, of the
+    deleted then the chosen columns, is None unless ``with_d``."""
+    n, words = saturated.rows, saturated.neg_words
     while batch := list(itertools.islice(choices, _SLICE)):
         deleted, chosen = zip(*batch)
+        ds = [None] * len(batch)
+        if with_d:
+            triples = words[[gone + kept for gone, kept in batch]]
+            flipped = np.bitwise_count(np.bitwise_xor.reduce(triples, axis=1))
+            # Summed as int64: n - 2 * popcount would wrap in uint64.
+            j3 = n - 2 * flipped.sum(axis=1, dtype=np.int64)
+            ds = [_half_fraction_d(n, j) for j in j3.tolist()]
         sums = [sum_j_squared_batch(saturated, s, deleted, chosen) for s in (3, 4)]
-        yield from zip(deleted, chosen, zip(*(column.tolist() for column in sums)))
+        yield from zip(deleted, chosen, ds, zip(*(column.tolist() for column in sums)))
 
 
 def _verify_items(
@@ -141,23 +164,15 @@ def _verify_items(
     specific columns) choice up to the cap; see the module docstring. Each
     closed form and its text are evaluated once per d."""
     n, q = saturated.rows, saturated.cols
-    labels, words = saturated.labels, saturated.neg_words
+    labels = [str(label) for label in saturated.labels]
     results = []
     for (r, a), items in blocks.items():
-        choices = (
-            (deleted, chosen)
-            for deleted in itertools.combinations(range(q), r)
-            for chosen in itertools.combinations(
-                [c for c in range(q) if c not in deleted], a
-            )
-        )
         stated: dict = {}
-        for deleted, chosen, actual in _enumerated(saturated, _capped(choices, cap)):
-            context = [f"deleted={','.join(str(labels[i]) for i in deleted)}"] if r else []
+        walk = _enumerated(saturated, _capped(_lemma_choices(q, r, a), cap), r + a == 3)
+        for deleted, chosen, d, actual in walk:
+            context = [f"deleted={','.join(labels[i] for i in deleted)}"] if r else []
             context += [f"{k}0={labels[c]}" for k, c in zip("ij", chosen)]
-            d = None
-            if r + a == 3:
-                d = d_from_words(n, *(words[c] for c in deleted + chosen))
+            if d is not None:
                 context.append(f"d={d}")
             text = " ".join(context) or "no deletion"
             if d not in stated:

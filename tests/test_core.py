@@ -130,6 +130,41 @@ class TestTake:
         assert taken.entries.shape == (12, 0) and taken.labels == ()
 
 
+def _fresh(design, positions):
+    """The columns at ``positions`` as a newly constructed, validated design."""
+    return SignMatrix(design.entries[:, positions], tuple(design.labels[p] for p in positions))
+
+
+class TestWithout:
+    @pytest.mark.parametrize(
+        "n, construction", [(12, "auto"), (16, "sylvester"), (20, "auto"), (24, "auto")]
+    )
+    @pytest.mark.parametrize("deficit", [1, 2])
+    def test_every_deletion_equals_take_and_a_fresh_total(self, n, construction, deficit):
+        saturated = hadamard_design(n, construction)
+        full = build_full(drop_columns(saturated, range(n - deficit, n - 1))[0]).design
+        for pos in range(full.cols):
+            rest = [*range(pos), *range(pos + 1, full.cols)]
+            downdated, taken = full.without(pos), full.take(rest)
+            assert np.array_equal(downdated.entries, taken.entries)
+            assert downdated.entries.dtype == taken.entries.dtype
+            assert downdated.labels == taken.labels
+            assert downdated.gram_square_sum == _fresh(full, rest).gram_square_sum
+
+    def test_entries_are_read_only_and_the_parent_is_unchanged(self):
+        full = build_full(hadamard_design(12)).design
+        before = full.entries.copy()
+        downdated = full.without(0)
+        with pytest.raises(ValueError):
+            downdated.entries[0, 0] = -1
+        assert np.array_equal(full.entries, before) and full.cols == 66
+
+    @pytest.mark.parametrize("pos", [-1, 11])
+    def test_rejects_a_position_out_of_range(self, pos):
+        with pytest.raises(ValueError, match="out of range for 11 columns"):
+            hadamard_design(12).without(pos)
+
+
 class TestSylvester:
     def test_base_case(self):
         m = sylvester_hadamard(1)

@@ -160,6 +160,26 @@ def test_minus_one_from_cached_block_equals_rebuild(case):
 
 
 
+@given(random_designs(), st.integers(0, 2**16))
+@example(
+    # c2 = -c1 and c4 = c1: columns equal up to sign.
+    SignMatrix.with_main_labels(
+        np.array([[1, -1, 1, 1], [1, -1, -1, 1], [-1, 1, 1, -1], [1, -1, 1, 1]])
+    ),
+    1,
+)
+def test_downdated_square_sum_equals_a_fresh_design(design, seed):
+    """Deleting any column, the seeded squared Gram total equals that of the
+    remaining columns built afresh; planted columns are equal up to sign."""
+    pos = seed % design.cols
+    rest = [*range(pos), *range(pos + 1, design.cols)]
+    downdated = design.without(pos)
+    fresh = SignMatrix(design.entries[:, rest], tuple(design.labels[p] for p in rest))
+    assert np.array_equal(downdated.entries, fresh.entries)
+    assert downdated.labels == fresh.labels
+    assert downdated.gram_square_sum == fresh.gram_square_sum
+
+
 @st.composite
 def equivalent_saturated(draw, orders=(8, 12, 16, 20, 24)):
     """A Hadamard design of an order in ``orders`` with rows and columns

@@ -1,10 +1,16 @@
 """The lemma walk's exhaustive n = 12 output, item by item: how many checks
 each of the 18 items runs, and the context and expected value of its first
 and last check; how often the walk evaluates a closed form; and the
-symmetry of every claim in d."""
+symmetry of every claim in d; the batched d of the walk against d per
+choice."""
 
-from ssdopt import FAMILIES, hadamard_design, verify_lemma1, verify_lemma2
-from ssdopt.verify import _LEMMA1, _LEMMA2, _verify_items
+import re
+
+import pytest
+
+from ssdopt import FAMILIES, SignMatrix, hadamard_design, verify_lemma1, verify_lemma2
+from ssdopt.spectral import d_from_words
+from ssdopt.verify import _LEMMA1, _LEMMA2, _enumerated, _lemma_choices, _verify_items
 
 # name: (checks, (first context, first expected), (last context, last expected))
 LEMMA_ITEMS_12 = {
@@ -99,3 +105,35 @@ def test_every_d_claim_is_symmetric_under_d_to_n_over_4_minus_d():
         for n in range(8, 2001, 4):
             for d in range(n // 8 + 1):
                 assert form(n, d) == form(n, n // 4 - d), (name, n, d)
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_batched_d_equals_d_from_words_for_every_choice(n):
+    """Every choice with r + a = 3, exhaustively: the d of the walk's one
+    XOR and popcount per slice equals ``d_from_words`` of that choice."""
+    saturated = hadamard_design(n)
+    q, words = saturated.cols, saturated.neg_words
+    blocks = [block for block in (*_LEMMA1, *_LEMMA2) if sum(block) == 3]
+    assert blocks == [(3, 0), (1, 2), (2, 1)]
+    for r, a in blocks:
+        walked = list(_enumerated(saturated, _lemma_choices(q, r, a), True))
+        assert len(walked) == len(list(_lemma_choices(q, r, a)))
+        for deleted, chosen, d, _ in walked:
+            assert d == d_from_words(n, *words[list(deleted + chosen)]), (deleted, chosen)
+
+
+def test_a_planted_triple_that_does_not_decompose_raises_as_before():
+    """One flipped entry of c6 moves J_3 of every triple through it by 2, so
+    none of them decomposes; the walk raises the ValueError that
+    ``d_from_words`` gives for the first of them."""
+    entries = hadamard_design(12).entries.copy()
+    entries[0, 5] *= -1
+    planted = SignMatrix.with_main_labels(entries)
+    with pytest.raises(ValueError) as first:
+        d_from_words(12, *planted.neg_words[[0, 1, 5]])
+    message = str(first.value)
+    assert message.startswith("triple does not decompose into half-fraction replicates")
+    for block in ((3, 0), (1, 2), (2, 1)):
+        items = {**_LEMMA1, **_LEMMA2}[block]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _verify_items(planted, {block: items}, cap=0)
