@@ -12,11 +12,11 @@ Rationals render in JSON as {"num", "den", "decimal"} where "decimal" is a
 
 JSON files are written by :func:`json_text`: byte for byte what the stdlib's
 ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, plus one
-trailing newline, with the stdlib's string escaping. A list of flat records
-that share one key set, each key holding only ints or only strings (the
-aliased pairs, the GWP entries), is encoded in bulk: its values are gathered
-by column and every record is formatted by one template built from the
-sorted keys.
+trailing newline, with the stdlib's string escaping. Reports carry their
+aliased pairs as the columnar :class:`AliasedPairs` itself, which is written
+as the list of ``{i, inner, j, label_i, label_j}`` records straight from its
+arrays: each column's index and escaped label are formatted once, and every
+record is gathered from those per-column strings.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -148,16 +147,6 @@ def fraction_json(value: Fraction) -> dict:
     }
 
 
-def _aliased_json(pairs: AliasedPairs) -> list[dict]:
-    if not pairs:
-        return []
-    names = [str(label) for label in pairs.labels]
-    return [
-        {"i": i, "j": j, "label_i": names[i], "label_j": names[j], "inner": inner}
-        for i, j, inner in zip(pairs.i.tolist(), pairs.j.tolist(), pairs.inner.tolist())
-    ]
-
-
 def _core_json(
     n: int,
     m: int,
@@ -166,7 +155,7 @@ def _core_json(
     es2: Fraction,
     gap: Fraction,
     optimal: bool,
-    aliased,
+    aliased: AliasedPairs,
 ) -> dict:
     """Numeric core shared by generate reports and evaluate reports.
 
@@ -184,7 +173,7 @@ def _core_json(
         "es2": fraction_json(es2),
         "gap": fraction_json(gap),
         "optimal": optimal,
-        "aliased_pairs": _aliased_json(aliased),
+        "aliased_pairs": aliased,
     }
 
 
@@ -197,7 +186,11 @@ def _family_json(family) -> dict:
 
 
 def report_json(report: OptimalityReport) -> dict:
-    """Full verdict report, numeric core plus provenance."""
+    """Full verdict report, numeric core plus provenance.
+
+    ``"aliased_pairs"`` holds the report's :class:`AliasedPairs` itself;
+    :func:`json_text` writes it as the list of pair records.
+    """
     out = _core_json(
         report.n,
         report.m,
@@ -233,7 +226,9 @@ def evaluate_report(design: SignMatrix) -> dict:
     """Analysis report for an arbitrary design file.
 
     Always contains dimensions, balance and strength flags, the GWP vector,
-    and the aliasing list. The E(s^2)-versus-bound core is present whenever
+    and the aliased pairs (an :class:`AliasedPairs`, which :func:`json_text`
+    writes as the list of pair records, also inside the core). The
+    E(s^2)-versus-bound core is present whenever
     the bound applies (balanced, n = 0 mod 4, at least two columns, and m
     admits a decomposition); otherwise it is null with a reason.
     """
@@ -247,7 +242,7 @@ def evaluate_report(design: SignMatrix) -> dict:
         "balanced": balanced,
         "oa_strength_2": verify_oa_strength2(design),
         "gwp": [fraction_json(gwp[s]) for s in range(1, m + 1)],
-        "aliased_pairs": _aliased_json(aliased),
+        "aliased_pairs": aliased,
         "es2_report": None,
     }
     if m < 2:
@@ -268,49 +263,37 @@ def evaluate_report(design: SignMatrix) -> dict:
     return out
 
 
-def _record_list(items: list, newline: str) -> str | None:
-    """Bulk encoding of a non-empty list of flat records, or None if it is not one.
+def _aliased_chunks(pairs: AliasedPairs, newline: str, out: list[str]) -> None:
+    """Append the JSON record list of ``pairs``, whose closing bracket follows ``newline``.
 
-    A record list holds dicts only, all with one non-empty key set of strs,
-    and each key's values are all ``int`` or all ``str`` (exact types: a bool
-    is not an int). ``newline`` is the line break and indent of the list's
-    items. Ints are formatted by ``%d``, which gives ``int.__repr__`` digits.
+    A record's sorted keys alternate between its two columns, so it is five
+    pieces: i's index, the inner product, j's index, i's label and j's label,
+    each with the text that precedes the next piece.
     """
-    first = items[0]
-    if (
-        not first
-        or set(map(type, items)) != {dict}
-        or set(map(len, items)) != {len(first)}
-        or set(map(type, first)) != {str}
-    ):
-        return None
-    names = sorted(first)
-    columns, fields = [], []
-    for name in names:
-        try:
-            values = list(map(itemgetter(name), items))
-        except KeyError:  # same size, other keys
-            return None
-        kinds = set(map(type, values))
-        if kinds == {int}:
-            fields.append("%d")
-        elif kinds == {str}:
-            fields.append("%s")
-            values = list(map(encode_basestring_ascii, values))
-        else:
-            return None
-        columns.append(values)
-    field = newline + "  "
-    template = (
-        "{"
-        + ",".join(
-            field + encode_basestring_ascii(name).replace("%", "%%") + ": " + spec
-            for name, spec in zip(names, fields)
-        )
-        + newline
-        + "}"
-    )
-    return ("," + newline).join(map(template.__mod__, zip(*columns)))
+    if not pairs:
+        out.append("[]")
+        return
+    item = newline + "  "
+    opener = "," + item + "{" + item + '  "i": '
+    field = "," + item + "  "
+    index = [str(c) for c in range(len(pairs.labels))]
+    label = [encode_basestring_ascii(str(lb)) for lb in pairs.labels]
+    by_i = np.array([
+        [opener + c + field + '"inner": ' for c in index],
+        [text + field + '"label_j": ' for text in label],
+    ], dtype=object)
+    by_j = np.array([
+        [field + '"j": ' + c + field + '"label_i": ' for c in index],
+        [text + item + "}" for text in label],
+    ], dtype=object)
+    values, which = np.unique(pairs.inner, return_inverse=True)
+    parts = np.empty((len(pairs), 5), dtype=object)
+    parts[:, 0], parts[:, 3] = by_i[:, pairs.i]
+    parts[:, 1] = np.array(list(map(str, values.tolist())), dtype=object)[which]
+    parts[:, 2], parts[:, 4] = by_j[:, pairs.j]
+    parts[0, 0] = "[" + parts[0, 0][1:]  # the first record opens the list
+    out.extend(parts.ravel().tolist())
+    out.append(newline + "]")
 
 
 def _json_chunks(value, newline: str, out: list[str]) -> None:
@@ -344,15 +327,13 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
             return
         inner = newline + "  "
         out.append("[" + inner)
-        body = _record_list(value, inner)
-        if body is not None:
-            out.append(body)
-        else:
-            for pos, item in enumerate(value):
-                if pos:
-                    out.append("," + inner)
-                _json_chunks(item, inner, out)
+        for pos, item in enumerate(value):
+            if pos:
+                out.append("," + inner)
+            _json_chunks(item, inner, out)
         out.append(newline + "]")
+    elif isinstance(value, AliasedPairs):
+        _aliased_chunks(value, newline, out)
     else:
         raise TypeError(
             f"Object of type {type(value).__name__} is not JSON serializable"
@@ -363,8 +344,10 @@ def json_text(payload) -> str:
     """The stdlib's ``json.dumps`` of ``payload`` with ``indent=2`` and
     ``sort_keys=True``, plus a trailing newline, byte for byte.
 
-    Accepts dict (str keys), list, str, int, bool and None; any other type
-    raises TypeError.
+    Accepts dict (str keys), list, str, int, bool, None and
+    :class:`AliasedPairs`, written as the list of its pairs'
+    ``{"i", "inner", "j", "label_i", "label_j"}`` records (``[]`` when
+    there are none); any other type raises TypeError.
     """
     out: list[str] = []
     _json_chunks(payload, "\n", out)

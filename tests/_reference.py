@@ -2,8 +2,9 @@
 against: column-Gram E(s^2), the |X^T X| = n aliasing scan, the per-pair
 strength-2 count loop, the bit-by-bit negative masks, the full
 augmentation rebuilt one ``interaction_column`` at a time, the unrolled
-pure-Python loops over integer bitmasks for the squared-J sums, and the
-row-by-row design CSV writer."""
+pure-Python loops over integer bitmasks for the squared-J sums, the
+row-by-row design CSV writer, and the aliased pairs as the list of JSON
+records the stdlib's ``json.dumps`` encodes."""
 
 import itertools
 from fractions import Fraction
@@ -29,6 +30,15 @@ def aliasing_scan(design: SignMatrix) -> AliasedPairs:
 def pair_columns(pairs: AliasedPairs) -> tuple:
     """The pairs as plain lists, for equality checks."""
     return pairs.i.tolist(), pairs.j.tolist(), pairs.inner.tolist(), pairs.labels
+
+
+def aliased_records(pairs: AliasedPairs) -> list[dict]:
+    """One dict per pair, as reports list them; pass as ``json.dumps``'s ``default``."""
+    names = [str(label) for label in pairs.labels]
+    return [
+        {"i": i, "j": j, "label_i": names[i], "label_j": names[j], "inner": inner}
+        for i, j, inner in zip(pairs.i.tolist(), pairs.j.tolist(), pairs.inner.tolist())
+    ]
 
 
 def oa_strength2_loop(design: SignMatrix) -> bool:

@@ -176,6 +176,21 @@ class TestEvaluate:
         assert payload["es2_report"]["optimal"] is True
         assert stdout == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
+    def test_stdout_json_lists_aliased_pairs_as_the_report_file(self, tmp_path, capsys):
+        out, report = tmp_path / "d.csv", tmp_path / "e.json"
+        argv = ["generate", "--n", "16", "--construction", "sylvester", "--family", "full"]
+        assert run([*argv, "--out", str(out)], capsys)[0] == 0
+        code, stdout, _ = run(["evaluate", str(out)], capsys)
+        assert code == 0
+        assert run(["evaluate", str(out), "--report", str(report)], capsys)[0] == 0
+        assert stdout.encode("utf-8") == report.read_bytes()
+        payload = json.loads(stdout)
+        assert len(payload["aliased_pairs"]) == 420
+        assert payload["aliased_pairs"][0] == {
+            "i": 0, "inner": 16, "j": 29, "label_i": "c1", "label_j": "c2*c3"
+        }
+        assert stdout == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("+1,-1\n+1,2\n")

@@ -25,6 +25,8 @@ from ssdopt import (
 )
 from ssdopt.cli import main
 
+from _reference import aliased_records
+
 
 class TestCsvRoundTrip:
     def test_text_round_trip_is_bit_exact(self):
@@ -147,7 +149,8 @@ def _paley_12_minus_c3():
 
 
 def stdlib_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=aliased_records)
+    return (text + "\n").encode("utf-8")
 
 
 class TestJsonFilesMatchStdlib:

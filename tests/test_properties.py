@@ -23,6 +23,8 @@ from ssdopt import (
     FAMILIES,
     MINUS_ONE,
     SINGLE_PARENT,
+    AliasedPairs,
+    ColumnLabel,
     SignMatrix,
     aliasing_report,
     build_full,
@@ -43,11 +45,11 @@ from ssdopt import (
     verdict,
     verify_oa_strength2,
 )
-from ssdopt.designio import _record_list
 from ssdopt.spectral import d_from_words, d_parameter
 from ssdopt.verify import _LEMMA1, _LEMMA2, _verify_items
 
 from _reference import (
+    aliased_records,
     aliasing_scan,
     design_csv_text_loop,
     es2_column_gram,
@@ -464,8 +466,40 @@ def test_json_text_equals_stdlib(payload):
 
 @given(record_lists(clean=True))
 def test_uniform_record_lists_take_the_bulk_path(records):
-    assert _record_list(records, "\n  ") is not None
     assert json_text(records) == stdlib_json(records)
+
+
+LABELS = st.builds(ColumnLabel.main, st.integers(1, 99)) | st.lists(
+    st.integers(1, 99), min_size=2, max_size=2, unique=True
+).map(lambda ij: ColumnLabel.interaction(*ij))
+INNER = st.sampled_from([0, 1, -1, 16, -16]) | st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def aliased_pairs(draw, max_cols=40):
+    """Columnar pairs over main and interaction labels: sorted i < j pairs,
+    possibly none, with any int64 inner products."""
+    labels = tuple(draw(st.lists(LABELS, min_size=1, max_size=max_cols)))
+    combos = list(itertools.combinations(range(len(labels)), 2))
+    chosen = []
+    if combos:
+        chosen = sorted(draw(st.lists(st.sampled_from(combos), unique=True, max_size=60)))
+    inner = draw(st.lists(INNER, min_size=len(chosen), max_size=len(chosen)))
+    i, j = (np.array([p[k] for p in chosen], dtype=np.int64) for k in (0, 1))
+    return AliasedPairs(i, j, np.array(inner, dtype=np.int64), labels)
+
+
+def _nest(value, as_dict: bool):
+    return {"aliased_pairs": value, "n": 1} if as_dict else [value, "x"]
+
+
+@given(aliased_pairs(), st.booleans(), st.booleans())
+@example(AliasedPairs(*[np.zeros(0, dtype=np.int64)] * 3, (ColumnLabel.main(1),)), True, False)
+def test_aliased_pairs_encode_as_the_stdlib_record_list(pairs, outer_dict, inner_dict):
+    for payload in (pairs, _nest(pairs, inner_dict),
+                    _nest(_nest(pairs, inner_dict), outer_dict)):
+        expected = json.dumps(payload, indent=2, sort_keys=True, default=aliased_records)
+        assert json_text(payload) == expected + "\n"
 
 
 @pytest.mark.parametrize(
