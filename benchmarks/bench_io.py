@@ -4,9 +4,14 @@ Times ``design_csv_text``, ``sidecar_json`` and ``json_text`` of the sidecar
 and of its verdict report for ``build_full(hadamard_design(n))`` at
 n = 12, 24, 32, 48, 64 (automatic construction) and for the n = 32
 Sylvester start, whose full augmentation has thousands of fully aliased
-pairs. Uses plain ``time.perf_counter``, best and median of 7 runs. Writes
-one JSON file with the machine, the times, the output sizes and the sha256
-of the output bytes, so two files compare outputs as well as times.
+pairs. The "generate writers" entry times what ``generate`` does after its
+verdict: the design CSV, the sidecar and the report files, written by
+``write_design_csv`` and ``dump_json`` into a temporary directory, on a
+fresh start, build and verdict per run (made outside the timed region), so
+no label string or pair list is cached from an earlier run. Uses plain
+``time.perf_counter``, best and median of 7 runs. Writes one JSON file with
+the machine, the times, the output sizes and the sha256 of the output
+bytes, so two files compare outputs as well as times.
 
     PYTHONPATH=src python benchmarks/bench_io.py [--out PATH]
 """
@@ -20,6 +25,7 @@ import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -28,10 +34,12 @@ import numpy as np
 from ssdopt import (
     build_full,
     design_csv_text,
+    dump_json,
     hadamard_design,
     json_text,
     sidecar_json,
     verdict,
+    write_design_csv,
 )
 
 STARTS = (
@@ -65,6 +73,27 @@ def _entry(name: str, fn) -> dict:
     return out
 
 
+def _generate_writers(n: int, construction: str) -> dict:
+    """The files ``generate`` writes after its verdict, timed on a fresh
+    start, build and verdict per run; the sha256 covers all three files."""
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, meta, report_path = (Path(tmp) / name for name in ("d.csv", "d.meta.json", "r.json"))
+        for _ in range(REPEATS):
+            build = build_full(hadamard_design(n, construction))
+            report = verdict(build)
+            start = time.perf_counter()
+            write_design_csv(csv, build.design)
+            sidecar = sidecar_json(build, report)
+            dump_json(sidecar, meta)
+            dump_json(sidecar["report"], report_path)
+            times.append(time.perf_counter() - start)
+        data = b"".join(path.read_bytes() for path in (csv, meta, report_path))
+    return {"name": "generate writers", "best_s": min(times),
+            "median_s": statistics.median(times), "runs": len(times),
+            "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
@@ -80,6 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             _entry("sidecar_json", lambda: sidecar_json(build, report)),
             _entry("json_text(sidecar)", lambda: json_text(sidecar)),
             _entry("json_text(report)", lambda: json_text(sidecar["report"])),
+            _generate_writers(n, construction),
         ]
         cases.append({
             "n": n,

@@ -66,7 +66,6 @@ from .spectral import (
     distance_distribution,
     filtered_sums,
     gwp_via_krawtchouk,
-    j_characteristic,
     krawtchouk,
     sum_j_squared,
     sum_j_squared_filtered,

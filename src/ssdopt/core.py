@@ -1,9 +1,10 @@
 """Sign matrices, Hadamard constructions, and orthogonal-array checks.
 
 Every design is carried by a :class:`SignMatrix`: an immutable n x q array
-with entries +1/-1 and one distinct :class:`ColumnLabel` per column. All
-arithmetic in this module is exact integer arithmetic; there is no floating
-point anywhere.
+with entries +1/-1 and one distinct label per column, held as a pair of
+factor indices (:attr:`SignMatrix.factors`); :class:`ColumnLabel` is the
+parsed and user-facing form of one label. All arithmetic in this module is
+exact integer arithmetic; there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,11 +32,11 @@ class ColumnLabel:
     j: int | None = None
 
     def __post_init__(self) -> None:
-        if self.i < 1:
-            raise ValueError(f"column index must be positive, got {self.i}")
-        if self.j is not None and self.j <= self.i:
+        if not 1 <= self.i < 2**63:
+            raise ValueError(f"column index must be in 1..2**63 - 1, got {self.i}")
+        if self.j is not None and not self.i < self.j < 2**63:
             raise ValueError(
-                f"interaction indices must satisfy i < j, got ({self.i}, {self.j})"
+                f"interaction indices must satisfy i < j < 2**63, got ({self.i}, {self.j})"
             )
 
     @classmethod
@@ -81,35 +82,55 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
     return words.view(np.uint64)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SignMatrix:
-    """Immutable two-level design matrix with labeled columns."""
+    """Immutable two-level design matrix with labeled columns.
+
+    Column c's label is row c of ``factors``, a read-only (m, 2) int64 array
+    of factor indices: (i, 0) for ci, (i, j) with i < j for ci*cj. ``labels``
+    are :class:`ColumnLabel` objects or such an array of valid indices.
+    """
 
     entries: np.ndarray
-    labels: tuple[ColumnLabel, ...]
+    factors: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries)
+    def __init__(self, entries, labels) -> None:
+        arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("entries must be a 2-D array with at least one row")
         if not np.all((arr == 1) | (arr == -1)):
             raise ValueError("entries must be exactly +1 or -1")
-        labels = tuple(self.labels)
-        if len(labels) != arr.shape[1]:
-            raise ValueError(f"{arr.shape[1]} columns but {len(labels)} labels")
-        if len(set(labels)) != len(labels):
+        if not isinstance(labels, np.ndarray):
+            labels = [(label.i, label.j or 0) for label in labels]
+        factors = np.array(labels, dtype=np.int64).reshape(-1, 2)
+        if len(factors) != arr.shape[1]:
+            raise ValueError(f"{arr.shape[1]} columns but {len(factors)} labels")
+        i, j = factors[np.lexsort(factors.T[::-1])].T
+        if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
             raise ValueError("column labels must be pairwise distinct")
-        frozen = arr.astype(np.int8)
-        frozen.flags.writeable = False
-        object.__setattr__(self, "entries", frozen)
-        object.__setattr__(self, "labels", labels)
+        for name, value in (("entries", arr.astype(np.int8)), ("factors", factors)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def with_main_labels(cls, entries) -> "SignMatrix":
         """Wrap an array, labeling its columns c1, c2, ... in order."""
         arr = np.asarray(entries)
         q = arr.shape[1] if arr.ndim == 2 else 0
-        return cls(arr, tuple(ColumnLabel.main(i) for i in range(1, q + 1)))
+        return cls(arr, np.column_stack([np.arange(1, q + 1), np.zeros(q, dtype=np.int64)]))
+
+    @cached_property
+    def labels(self) -> tuple[ColumnLabel, ...]:
+        """The columns' labels as :class:`ColumnLabel` objects, formed when read."""
+        return tuple(ColumnLabel(i, j or None) for i, j in self.factors.tolist())
+
+    @cached_property
+    def label_names(self) -> tuple[str, ...]:
+        """Each column's label text, ``ci`` or ``ci*cj``: the one string table
+        that CSV headers, aliased-pair records and reports read."""
+        i, j = self.factors.T.tolist()
+        text = {k: f"c{k}" for k in {*i, *j}}
+        return tuple([text[a] + "*" + text[b] if b else text[a] for a, b in zip(i, j)])
 
     @property
     def rows(self) -> int:
@@ -123,15 +144,18 @@ class SignMatrix:
         return self.entries[:, pos]
 
     @cached_property
-    def _positions(self) -> dict[ColumnLabel, int]:
-        return {label: pos for pos, label in enumerate(self.labels)}
+    def _position(self) -> Callable[[int, int], int | None]:
+        """Factor indices (i, j) -> position of their column, None if absent;
+        :attr:`augmented` sets its own arithmetic one (:func:`_pair_position`)."""
+        positions = dict(zip(zip(*self.factors.T.tolist()), range(self.cols)))
+        return lambda i, j: positions.get((i, j))
 
     def label_position(self, label: ColumnLabel) -> int:
         """Position of the column carrying ``label``; ValueError if absent."""
-        try:
-            return self._positions[label]
-        except KeyError:
-            raise ValueError(f"no column labeled {label}") from None
+        pos = self._position(label.i, label.j or 0)
+        if pos is None:
+            raise ValueError(f"no column labeled {label}")
+        return pos
 
     def gram(self) -> np.ndarray:
         """X^T X in exact 64-bit integer arithmetic."""
@@ -139,20 +163,19 @@ class SignMatrix:
         return wide.T @ wide
 
     @staticmethod
-    def _selected(entries: np.ndarray, labels: tuple) -> "SignMatrix":
+    def _selected(entries: np.ndarray, factors: np.ndarray) -> "SignMatrix":
         """Columns selected from a valid design, which need no revalidation:
         made read-only and wrapped as they are."""
         out = object.__new__(SignMatrix)
-        entries.flags.writeable = False
-        object.__setattr__(out, "entries", entries)
-        object.__setattr__(out, "labels", labels)
+        for name, value in (("entries", entries), ("factors", factors)):
+            value.flags.writeable = False
+            object.__setattr__(out, name, value)
         return out
 
     def take(self, positions) -> "SignMatrix":
         """The columns at ``positions`` (distinct, in range), in that order,
         unvalidated (:meth:`_selected`), carrying the columns' labels."""
-        labels = self.labels
-        return self._selected(self.entries[:, positions], tuple([labels[p] for p in positions]))
+        return self._selected(self.entries[:, positions], self.factors[positions])
 
     def without(self, pos: int) -> "SignMatrix":
         """This design without the column at ``pos``, unvalidated (:meth:`_selected`).
@@ -168,7 +191,7 @@ class SignMatrix:
         inner = n - 2 * np.bitwise_count(words ^ words[pos]).sum(axis=1, dtype=np.int64)
         out = self._selected(
             np.concatenate([self.entries[:, :pos], self.entries[:, pos + 1 :]], axis=1),
-            self.labels[:pos] + self.labels[pos + 1 :],
+            np.concatenate([self.factors[:pos], self.factors[pos + 1 :]]),
         )
         out.__dict__["gram_square_sum"] = (
             self.gram_square_sum - 2 * int(inner @ inner) + n * n
@@ -243,16 +266,29 @@ class SignMatrix:
         Interactions are ordered lexicographically by column-position pair;
         the product of columns labeled ci and cj is labeled ci*cj. Built once
         per instance; every augmented family is a column selection from it.
+        Its label positions are arithmetic (:func:`_pair_position`).
         """
-        if self.cols > 1 and any(label.is_interaction for label in self.labels):
+        if self.cols > 1 and self.factors[:, 1].any():
             raise ValueError("interactions of interaction columns are not supported")
         left, right = np.triu_indices(self.cols, k=1)
         block = self.entries[:, left] * self.entries[:, right]
-        labels = tuple(
-            ColumnLabel.interaction(self.labels[u].i, self.labels[v].i)
-            for u, v in zip(left.tolist(), right.tolist())
-        )
-        return SignMatrix(np.hstack([self.entries, block]), self.labels + labels)
+        mains = self.factors[:, 0]
+        pairs = np.sort(np.column_stack([mains[left], mains[right]]), axis=1)
+        out = self._selected(np.hstack([self.entries, block]), np.vstack([self.factors, pairs]))
+        main = dict(zip(mains.tolist(), range(self.cols)))
+        out.__dict__["_position"] = partial(_pair_position, main, self.cols)
+        return out
+
+
+def _pair_position(main: dict, q: int, i: int, j: int) -> int | None:
+    """Position of ci (j = 0) or ci*cj in the full augmentation of q mains,
+    ``main`` mapping each main's factor to its position: the interaction of
+    the mains at u < v is column q + u(2q - u - 1)/2 + v - u - 1."""
+    u, v = main.get(i), main.get(j) if j else None
+    if None in (u, v):
+        return None if j else u
+    u, v = min(u, v), max(u, v)
+    return q + u * (2 * q - u - 1) // 2 + v - u - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,13 +296,14 @@ class AliasedPairs:
     """Column pairs equal up to sign, as parallel int arrays in (i, j) order.
 
     Pair k is columns ``i[k] < j[k]`` with inner product ``inner[k]`` = +/-n;
-    ``labels`` are the design's column labels. ``len()`` counts the pairs.
+    ``names`` are the design's column label strings (its
+    :attr:`SignMatrix.label_names`). ``len()`` counts the pairs.
     """
 
     i: np.ndarray
     j: np.ndarray
     inner: np.ndarray
-    labels: tuple[ColumnLabel, ...]
+    names: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.i)
@@ -292,10 +329,6 @@ def _is_hadamard(entries: np.ndarray) -> bool:
     return bool(np.array_equal(wide @ wide.T, n * np.eye(n, dtype=np.int64)))
 
 
-def _main_labels(q: int) -> tuple[ColumnLabel, ...]:
-    return tuple(ColumnLabel.main(i) for i in range(1, q + 1))
-
-
 def sylvester_hadamard(k: int, max_order: int = DEFAULT_MAX_ORDER) -> SignMatrix:
     """Normalized Hadamard matrix of order 2**k by repeated doubling."""
     if k < 1:
@@ -307,7 +340,7 @@ def sylvester_hadamard(k: int, max_order: int = DEFAULT_MAX_ORDER) -> SignMatrix
     out = cell
     for _ in range(k - 1):
         out = np.kron(out, cell)
-    return SignMatrix(out, _main_labels(n))
+    return SignMatrix.with_main_labels(out)
 
 
 def _quadratic_character(p: int) -> np.ndarray:
@@ -345,7 +378,7 @@ def paley_hadamard(p: int, max_order: int = DEFAULT_MAX_ORDER) -> SignMatrix:
         h = np.kron(s, np.array([[1, 1], [1, -1]], dtype=np.int8)) + np.kron(
             np.eye(p + 1, dtype=np.int8), np.array([[1, -1], [-1, -1]], dtype=np.int8)
         )
-    return normalize(SignMatrix(h, _main_labels(n)))
+    return normalize(SignMatrix.with_main_labels(h))
 
 
 def normalize(matrix: SignMatrix) -> SignMatrix:
@@ -358,7 +391,7 @@ def normalize(matrix: SignMatrix) -> SignMatrix:
     e = matrix.entries.astype(np.int8).copy()
     e[:, e[0] < 0] *= -1
     e[e[:, 0] < 0, :] *= -1
-    return SignMatrix(e, matrix.labels)
+    return SignMatrix(e, matrix.factors)
 
 
 def to_hadamard_design(matrix: SignMatrix) -> SignMatrix:
@@ -371,7 +404,7 @@ def to_hadamard_design(matrix: SignMatrix) -> SignMatrix:
         raise ValueError("input is not a Hadamard matrix")
     if not np.all(matrix.entries[:, 0] == 1):
         raise ValueError("first column is not all +1; normalize the matrix first")
-    return SignMatrix(matrix.entries[:, 1:], _main_labels(matrix.cols - 1))
+    return SignMatrix.with_main_labels(matrix.entries[:, 1:])
 
 
 def hadamard_matrix(
@@ -465,7 +498,7 @@ def aliasing_report(design: SignMatrix) -> AliasedPairs:
     opens_group[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
     starts = np.flatnonzero(opens_group)
     if len(starts) == design.cols:
-        return AliasedPairs(_NO_PAIRS, _NO_PAIRS, _NO_PAIRS, design.labels)
+        return AliasedPairs(_NO_PAIRS, _NO_PAIRS, _NO_PAIRS, design.label_names)
     # Sorted position p pairs with the later members of its group, p+1 .. end-1.
     ends = np.repeat(np.append(starts[1:], design.cols), np.diff(starts, append=design.cols))
     later = ends - np.arange(design.cols) - 1
@@ -476,4 +509,4 @@ def aliasing_report(design: SignMatrix) -> AliasedPairs:
     by_i = np.argsort(i, kind="stable")
     i, j = i[by_i], j[by_i]
     signs = design.entries[0].astype(np.int64)
-    return AliasedPairs(i, j, design.rows * signs[i] * signs[j], design.labels)
+    return AliasedPairs(i, j, design.rows * signs[i] * signs[j], design.label_names)

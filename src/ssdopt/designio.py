@@ -10,13 +10,17 @@ the offending line and column.
 Rationals render in JSON as {"num", "den", "decimal"} where "decimal" is a
 12-significant-digit display string; equality semantics always use num/den.
 
-JSON files are written by :func:`json_text`: byte for byte what the stdlib's
-``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, plus one
-trailing newline, with the stdlib's string escaping. Reports carry their
-aliased pairs as the columnar :class:`AliasedPairs` itself, which is written
-as the list of ``{i, inner, j, label_i, label_j}`` records straight from its
-arrays: each column's index and escaped label are formatted once, and every
-record is gathered from those per-column strings.
+JSON text is byte for byte what the stdlib's ``json.dumps`` gives with
+``indent=2`` and ``sort_keys=True``, plus one trailing newline, with the
+stdlib's string escaping (:func:`json_text`); :func:`dump_json` writes it a
+piece at a time. Reports carry their aliased pairs as the columnar
+:class:`AliasedPairs` itself, written as the list of ``{i, inner, j,
+label_i, label_j}`` records. Each object's record lines are gathered once
+from per-column tables of finished lines, indented relative to the list, and
+cached; every report depth joins them with its own newline, so a pair list
+written twice (generate's sidecar and report, evaluate's top level and core)
+is encoded once. Labels come from the design's string table
+(:attr:`SignMatrix.label_names`), shared with the CSV header.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class CsvFormatError(ValueError):
 
 def design_csv_text(design: SignMatrix) -> str:
     """Serialize a design with at least one column to CSV text, header included."""
-    header = ",".join(str(label) for label in design.labels)
+    header = ",".join(design.label_names)
     cells = np.empty((design.rows, design.cols, 3), dtype=np.uint8)
     cells[:, :, 0] = np.where(design.entries > 0, ord("+"), ord("-"))
     cells[:, :, 1] = ord("1")
@@ -147,16 +151,8 @@ def fraction_json(value: Fraction) -> dict:
     }
 
 
-def _core_json(
-    n: int,
-    m: int,
-    chosen: Decomposition,
-    lb: Fraction,
-    es2: Fraction,
-    gap: Fraction,
-    optimal: bool,
-    aliased: AliasedPairs,
-) -> dict:
+def _core_json(n: int, m: int, chosen: Decomposition, lb: Fraction, es2: Fraction,
+               gap: Fraction, optimal: bool, aliased: AliasedPairs) -> dict:
     """Numeric core shared by generate reports and evaluate reports.
 
     Shared structure guarantees the round-trip test can compare the two
@@ -191,16 +187,8 @@ def report_json(report: OptimalityReport) -> dict:
     ``"aliased_pairs"`` holds the report's :class:`AliasedPairs` itself;
     :func:`json_text` writes it as the list of pair records.
     """
-    out = _core_json(
-        report.n,
-        report.m,
-        report.chosen,
-        report.lower_bound,
-        report.es2,
-        report.gap,
-        report.optimal,
-        report.aliased,
-    )
+    out = _core_json(report.n, report.m, report.chosen, report.lower_bound,
+                     report.es2, report.gap, report.optimal, report.aliased)
     out["family"] = _family_json(report.family)
     out["d"] = report.d
     out["notes"] = report.notes
@@ -214,7 +202,7 @@ def sidecar_json(build: SsdBuild, report: OptimalityReport) -> dict:
         "start": {
             "rows": build.start.rows,
             "cols": build.start.cols,
-            "labels": [str(label) for label in build.start.labels],
+            "labels": list(build.start.label_names),
         },
         "design": {"rows": build.design.rows, "cols": build.design.cols},
         "d": build.d,
@@ -263,42 +251,35 @@ def evaluate_report(design: SignMatrix) -> dict:
     return out
 
 
-def _aliased_chunks(pairs: AliasedPairs, newline: str, out: list[str]) -> None:
-    """Append the JSON record list of ``pairs``, whose closing bracket follows ``newline``.
-
-    A record's sorted keys alternate between its two columns, so it is five
-    pieces: i's index, the inner product, j's index, i's label and j's label,
-    each with the text that precedes the next piece.
-    """
-    if not pairs:
-        out.append("[]")
-        return
-    item = newline + "  "
-    opener = "," + item + "{" + item + '  "i": '
-    field = "," + item + "  "
-    index = [str(c) for c in range(len(pairs.labels))]
-    label = [encode_basestring_ascii(str(lb)) for lb in pairs.labels]
-    by_i = np.array([
-        [opener + c + field + '"inner": ' for c in index],
-        [text + field + '"label_j": ' for text in label],
-    ], dtype=object)
-    by_j = np.array([
-        [field + '"j": ' + c + field + '"label_i": ' for c in index],
-        [text + item + "}" for text in label],
-    ], dtype=object)
-    values, which = np.unique(pairs.inner, return_inverse=True)
-    parts = np.empty((len(pairs), 5), dtype=object)
-    parts[:, 0], parts[:, 3] = by_i[:, pairs.i]
-    parts[:, 1] = np.array(list(map(str, values.tolist())), dtype=object)[which]
-    parts[:, 2], parts[:, 4] = by_j[:, pairs.j]
-    parts[0, 0] = "[" + parts[0, 0][1:]  # the first record opens the list
-    out.extend(parts.ravel().tolist())
-    out.append(newline + "]")
+def _aliased_lines(pairs: AliasedPairs) -> list[str]:
+    """The record lines inside the brackets of the JSON list of nonempty
+    ``pairs``, indented relative to them and cached on the object: one line
+    per brace and per sorted key, each a shared string from a table of
+    finished lines per column (or per distinct inner product)."""
+    lines = pairs.__dict__.get("_json_lines")
+    if lines is None:
+        names = [encode_basestring_ascii(name) for name in pairs.names]
+        values, which = np.unique(pairs.inner, return_inverse=True)
+        keyed = (  # (line table, the rows that pick from it), in key order
+            ([f'    "i": {c},' for c in range(len(names))], pairs.i),
+            ([f'    "inner": {v},' for v in values.tolist()], which),
+            ([f'    "j": {c},' for c in range(len(names))], pairs.j),
+            ([f'    "label_i": {text},' for text in names], pairs.i),
+            ([f'    "label_j": {text}' for text in names], pairs.j),
+        )
+        records = ["  {", "", "", "", "", "", "  },"] * len(pairs)
+        for k, (table, rows) in enumerate(keyed, start=1):
+            records[k::7] = np.array(table, dtype=object)[rows].tolist()
+        records[-1] = "  }"  # the last record takes no comma
+        lines = pairs.__dict__["_json_lines"] = records
+    return lines
 
 
 def _json_chunks(value, newline: str, out: list[str]) -> None:
     """Append the JSON text of ``value``, whose closing bracket follows ``newline``."""
-    if isinstance(value, str):
+    if isinstance(value, (dict, list, AliasedPairs)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
         out.append("null")
@@ -309,9 +290,6 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
         if not all(isinstance(key, str) for key in value):
             raise TypeError("JSON object keys must be str")
         inner = newline + "  "
@@ -322,9 +300,6 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
             opener = "," + inner
         out.append(newline + "}")
     elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
         inner = newline + "  "
         out.append("[" + inner)
         for pos, item in enumerate(value):
@@ -333,7 +308,14 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
             _json_chunks(item, inner, out)
         out.append(newline + "]")
     elif isinstance(value, AliasedPairs):
-        _aliased_chunks(value, newline, out)
+        # No JSON string holds a raw newline (encode_basestring_ascii escapes
+        # it), so the cached lines joined by this depth's newline are exact.
+        # Pieces of 4,096 lines bound what dump_json encodes at a time.
+        lines = _aliased_lines(value)
+        out.append("[")
+        for start in range(0, len(lines), 1 << 12):
+            out += (newline, newline.join(lines[start : start + (1 << 12)]))
+        out.append(newline + "]")
     else:
         raise TypeError(
             f"Object of type {type(value).__name__} is not JSON serializable"
@@ -351,10 +333,13 @@ def json_text(payload) -> str:
     """
     out: list[str] = []
     _json_chunks(payload, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    return "".join([*out, "\n"])
 
 
 def dump_json(payload: dict, path: str | Path) -> None:
-    """Deterministic JSON file: sorted keys, two-space indent, one trailing newline."""
-    Path(path).write_text(json_text(payload), encoding="utf-8")
+    """Deterministic JSON file: the bytes of :func:`json_text`, written a
+    piece at a time, so the whole text is never held as one string."""
+    out: list[str] = []
+    _json_chunks(payload, "\n", out)
+    with open(path, "w", encoding="utf-8") as file:
+        file.writelines([*out, "\n"])

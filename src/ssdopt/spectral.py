@@ -120,25 +120,6 @@ def gwp_via_krawtchouk(design: SignMatrix) -> GwpVector:
     return GwpVector(tuple(values))
 
 
-def _check_subset(design: SignMatrix, cols: Sequence[int]) -> tuple[int, ...]:
-    subset = tuple(cols)
-    if not subset:
-        raise ValueError("column subset must be non-empty")
-    if len(set(subset)) != len(subset):
-        raise ValueError("column subset must have distinct entries")
-    for c in subset:
-        if not 0 <= c < design.cols:
-            raise ValueError(f"column index {c} out of range for {design.cols} columns")
-    return subset
-
-
-def j_characteristic(design: SignMatrix, cols: Iterable[int]) -> int:
-    """J_s(S): sum over runs of the entrywise product of the columns in S."""
-    subset = _check_subset(design, tuple(cols))
-    product = np.bitwise_xor.reduce(design.neg_words[list(subset)], axis=0)
-    return design.rows - 2 * int(np.bitwise_count(product).sum())
-
-
 #: Subsets per numpy pass; it bounds the size of the kernel's temporary arrays.
 _CHUNK = 1 << 13
 
@@ -305,8 +286,9 @@ def sum_j_squared_filtered(
     design: SignMatrix, s: int, fixed: Iterable[int]
 ) -> int:
     """Sum of J_s(S)^2 over the s-subsets that contain all ``fixed`` columns,
-    through the design's memo (:func:`filtered_sums`)."""
-    anchor = _check_subset(design, tuple(fixed))
+    through the design's memo (:func:`filtered_sums`), which rejects
+    repeated or out-of-range columns."""
+    anchor = tuple(fixed)
     if len(anchor) not in (1, 2):
         raise ValueError(f"fixed set must have 1 or 2 columns, got {len(anchor)}")
     if s <= len(anchor):

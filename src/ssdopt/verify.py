@@ -50,7 +50,7 @@ from .builder import (
     build_single_parent,
     j_terms,
 )
-from .core import SignMatrix, drop_columns, hadamard_design
+from .core import ColumnLabel, SignMatrix, drop_columns, hadamard_design
 from .es2 import verdict
 from .spectral import _half_fraction_d, filtered_sums, sum_j_squared_batch
 
@@ -164,7 +164,7 @@ def _verify_items(
     specific columns) choice up to the cap; see the module docstring. Each
     closed form and its text are evaluated once per d."""
     n, q = saturated.rows, saturated.cols
-    labels = [str(label) for label in saturated.labels]
+    labels = saturated.label_names
     results = []
     for (r, a), items in blocks.items():
         stated: dict = {}
@@ -203,12 +203,13 @@ def _choices(
     theorem ranges over: none, each deleted column or each parent factor (the
     last two capped)."""
     if kind == MINUS_ONE:
-        for delete in _capped(start.augmented.labels, cap):
+        for i, j in _capped(start.augmented.factors.tolist(), cap):
+            delete = ColumnLabel(i, j or None)
             yield (f" delete={delete}", SsdFamily.minus_one(delete),
                    functools.partial(build_minus_one, start, delete, removed))
     elif kind == SINGLE_PARENT:
         for p in _capped(range(start.cols), cap):
-            yield (f" parent={start.labels[p]}", SsdFamily.single_parent(p),
+            yield (f" parent={start.label_names[p]}", SsdFamily.single_parent(p),
                    functools.partial(build_single_parent, start, p, removed))
     else:
         make = build_full if kind == FULL else build_interactions_only

@@ -1,10 +1,11 @@
 """Straightforward reference implementations the optimised routes are tested
 against: column-Gram E(s^2), the |X^T X| = n aliasing scan, the per-pair
-strength-2 count loop, the bit-by-bit negative masks, the full
-augmentation rebuilt one ``interaction_column`` at a time, the unrolled
-pure-Python loops over integer bitmasks for the squared-J sums, the
-row-by-row design CSV writer, and the aliased pairs as the list of JSON
-records the stdlib's ``json.dumps`` encodes."""
+strength-2 count loop, the J-characteristic of one column subset, the
+bit-by-bit negative masks, the full augmentation rebuilt one
+``interaction_column`` at a time, the unrolled pure-Python loops over
+integer bitmasks for the squared-J sums, the row-by-row design CSV writer,
+and the aliased pairs as the list of JSON records the stdlib's
+``json.dumps`` encodes."""
 
 import itertools
 from fractions import Fraction
@@ -24,21 +25,33 @@ def es2_column_gram(design: SignMatrix) -> Fraction:
 def aliasing_scan(design: SignMatrix) -> AliasedPairs:
     g = design.gram()
     i, j = np.nonzero(np.triu(np.abs(g) == design.rows, k=1))
-    return AliasedPairs(i, j, g[i, j], design.labels)
+    return AliasedPairs(i, j, g[i, j], tuple(str(label) for label in design.labels))
 
 
 def pair_columns(pairs: AliasedPairs) -> tuple:
     """The pairs as plain lists, for equality checks."""
-    return pairs.i.tolist(), pairs.j.tolist(), pairs.inner.tolist(), pairs.labels
+    return pairs.i.tolist(), pairs.j.tolist(), pairs.inner.tolist(), pairs.names
 
 
 def aliased_records(pairs: AliasedPairs) -> list[dict]:
     """One dict per pair, as reports list them; pass as ``json.dumps``'s ``default``."""
-    names = [str(label) for label in pairs.labels]
+    names = pairs.names
     return [
         {"i": i, "j": j, "label_i": names[i], "label_j": names[j], "inner": inner}
         for i, j, inner in zip(pairs.i.tolist(), pairs.j.tolist(), pairs.inner.tolist())
     ]
+
+
+def j_characteristic(design: SignMatrix, cols) -> int:
+    """J_s(S): sum over runs of the entrywise product of the columns in S,
+    one XOR and popcount of their packed -1 bits (``SignMatrix.neg_words``)."""
+    subset = list(cols)
+    if not subset or len(set(subset)) != len(subset):
+        raise ValueError("column subset must be non-empty and distinct")
+    if not all(0 <= c < design.cols for c in subset):
+        raise ValueError(f"column index out of range for {design.cols} columns")
+    product = np.bitwise_xor.reduce(design.neg_words[subset], axis=0)
+    return design.rows - 2 * int(np.bitwise_count(product).sum())
 
 
 def oa_strength2_loop(design: SignMatrix) -> bool:

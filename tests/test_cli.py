@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import ssdopt.designio
-from ssdopt import FAMILIES, SINGLE_PARENT, GwpVector, SignMatrix, verify_lemma1
+from ssdopt import FAMILIES, SINGLE_PARENT, ColumnLabel, GwpVector, SignMatrix, verify_lemma1
 from ssdopt.cli import _build_parser, main
 
 
@@ -483,6 +483,32 @@ class TestAliasingOnDemand:
         report = json.loads(out.with_suffix(".meta.json").read_text())["report"]
         assert len(report["aliased_pairs"]) == 420
         assert report["notes"].startswith("420 fully aliased column pair(s) present;")
+
+
+class TestColumnLabelsOnDemand:
+    """generate labels its columns from factor-index arrays: the only
+    ColumnLabel it creates is the one parsed from --delete."""
+
+    @pytest.mark.parametrize("family, parsed", [
+        (["--family", "full"], []),
+        (["--family", "minus-one", "--delete", "c2*c5"], ["c2*c5"]),
+    ])
+    def test_generate_creates_only_parsed_labels(self, family, parsed, tmp_path, capsys,
+                                                 monkeypatch):
+        created, original = [], ColumnLabel.__post_init__
+
+        def counting(label):
+            created.append(label)
+            original(label)
+
+        monkeypatch.setattr(ColumnLabel, "__post_init__", counting)
+        out = tmp_path / "d.csv"
+        argv = ["generate", "--n", "32", "--construction", "sylvester", *family,
+                "--out", str(out), "--report", str(tmp_path / "r.json")]
+        assert run(argv, capsys)[0] == 0
+        assert [str(label) for label in created] == parsed
+        header = out.read_text().split("\n", 1)[0].split(",")
+        assert len(header) == 496 - len(parsed) and ("c2*c5" in header) == (not parsed)
 
 
 class TestUsage:

@@ -10,12 +10,15 @@ from ssdopt import (
     SignMatrix,
     build_full,
     build_minus_one,
+    build_single_parent,
     decimal_str,
     design_csv_text,
     drop_columns,
+    dump_json,
     evaluate_report,
     fraction_json,
     hadamard_design,
+    json_text,
     parse_design_csv,
     read_design_csv,
     report_json,
@@ -80,6 +83,13 @@ class TestCsvErrors:
         with pytest.raises(CsvFormatError) as err:
             parse_design_csv("c1,weird\n+1,-1\n")
         assert err.value.line == 1 and err.value.column == 2
+
+    @pytest.mark.parametrize("label", [f"c1*c{2**63}", f"c{2**64}"])
+    def test_header_label_past_int64_is_a_bad_label(self, label):
+        # Factor indices are held as int64, so larger ones are bad labels.
+        with pytest.raises(CsvFormatError) as err:
+            parse_design_csv(f"c1,{label}\n+1,-1\n")
+        assert str(err.value) == f"bad column label {label!r} (line 1, column 2)"
 
     def test_bad_entry_on_first_line_is_an_entry_error(self):
         with pytest.raises(CsvFormatError) as err:
@@ -175,6 +185,41 @@ class TestJsonFilesMatchStdlib:
             sidecar_json(build, report)
         )
         assert report_path.read_bytes() == stdlib_bytes(report_json(report))
+
+
+class TestOnePairListAtTwoDepths:
+    """One AliasedPairs object, whose record lines are encoded once, written
+    at two depths in either order gives the stdlib's bytes of its expanded
+    records (``aliased_records``) at both."""
+
+    @staticmethod
+    def check(first, second, pairs, aliased):
+        assert bool(pairs) == aliased
+        for payload in (first, second):
+            expected = json.dumps(payload, indent=2, sort_keys=True, default=aliased_records)
+            assert json_text(payload) == expected + "\n"
+
+    @pytest.mark.parametrize("n, construction, aliased",
+                             [(16, "sylvester", True), (12, "auto", False)])
+    @pytest.mark.parametrize("report_first", [False, True])
+    def test_generate_sidecar_and_report(self, n, construction, aliased, report_first, tmp_path):
+        build = build_full(hadamard_design(n, construction))
+        report = verdict(build)
+        sidecar = sidecar_json(build, report)
+        assert sidecar["report"]["aliased_pairs"] is report.aliased
+        payloads = (sidecar["report"], sidecar)[:: 1 if report_first else -1]
+        self.check(*payloads, report.aliased, aliased)
+        dump_json(sidecar, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text(encoding="utf-8") == json_text(sidecar)
+
+    @pytest.mark.parametrize("n, construction, aliased",
+                             [(16, "sylvester", True), (12, "auto", False)])
+    @pytest.mark.parametrize("core_first", [False, True])
+    def test_evaluate_top_level_and_core(self, n, construction, aliased, core_first):
+        payload = evaluate_report(build_single_parent(hadamard_design(n, construction), 0).design)
+        core = payload["es2_report"]
+        assert core["aliased_pairs"] is payload["aliased_pairs"]
+        self.check(*(core, payload)[:: 1 if core_first else -1], core["aliased_pairs"], aliased)
 
 
 class TestEvaluateReport:

@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import operator
+import re
 from unittest import mock
 
 import numpy as np
@@ -37,7 +38,6 @@ from ssdopt import (
     filtered_sums,
     gwp_via_krawtchouk,
     hadamard_design,
-    j_characteristic,
     json_text,
     parse_design_csv,
     sum_j_squared,
@@ -54,6 +54,7 @@ from _reference import (
     design_csv_text_loop,
     es2_column_gram,
     full_augmentation_rebuilt,
+    j_characteristic,
     neg_masks_loop,
     oa_strength2_loop,
     pair_columns,
@@ -180,6 +181,55 @@ def test_downdated_square_sum_equals_a_fresh_design(design, seed):
     assert np.array_equal(downdated.entries, fresh.entries)
     assert downdated.labels == fresh.labels
     assert downdated.gram_square_sum == fresh.gram_square_sum
+
+
+#: Every order with an automatic construction up to 64, so q <= 63.
+ORDERS = (4, 8, 12, 16, 20, 24, 28, 32, 36, 44, 48, 60, 64)
+
+
+@st.composite
+def label_cases(draw):
+    """The full augmentation of a start like ``generate --drop-cols`` makes
+    (random factors dropped, then the mains permuted) with the ColumnLabel
+    objects the augmentation used to build, a random take or without
+    selection of it with its labels, and labels absent from the augmentation."""
+    saturated = hadamard_design(draw(st.sampled_from(ORDERS)))
+    drop = draw(st.lists(st.integers(0, saturated.cols - 1), max_size=2, unique=True))
+    kept = [c for c in range(saturated.cols) if c not in drop]
+    order = draw(st.permutations(range(len(kept))))
+    full = drop_columns(saturated, drop)[0].take(order).augmented
+    mains = [ColumnLabel.main(kept[k] + 1) for k in order]
+    old = mains + [ColumnLabel.interaction(mains[u].i, mains[v].i)
+                   for u, v in itertools.combinations(range(len(mains)), 2)]
+    absent = [ColumnLabel.main(99), ColumnLabel.interaction(1, 99)]
+    absent += [ColumnLabel.main(d + 1) for d in drop]
+    absent += [ColumnLabel.interaction(d + 1, mains[0].i) for d in drop]
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, full.cols - 1))
+        return full, old, full.without(pos), old[:pos] + old[pos + 1 :], absent
+    chosen = draw(st.lists(st.integers(0, full.cols - 1), min_size=1, max_size=40, unique=True))
+    return full, old, full.take(chosen), [old[p] for p in chosen], absent
+
+
+@given(label_cases(), st.data())
+def test_columnar_labels_equal_the_old_label_objects(case, data):
+    """Label strings, ColumnLabels, positions (with the error for an absent
+    label) and the CSV header of an augmentation and of a selection from it
+    equal those of the ColumnLabel objects the augmentation used to carry."""
+    full, old, selected, kept, absent = case
+    dropped = [label for label in data.draw(st.lists(st.sampled_from(old), max_size=8))
+               if label not in kept]
+    for design, labels, missing in ((full, old, absent), (selected, kept, absent + dropped)):
+        assert design.label_names == tuple(str(label) for label in labels)
+        assert design.labels == tuple(labels)
+        positions = {label: pos for pos, label in enumerate(labels)}
+        for label in data.draw(st.lists(st.sampled_from(labels), max_size=20)):
+            assert design.label_position(label) == positions[label]
+        for label in missing:
+            with pytest.raises(ValueError, match=rf"^no column labeled {re.escape(str(label))}$"):
+                design.label_position(label)
+        header = design_csv_text(design).encode().split(b"\n", 1)[0]
+        assert header == ",".join(str(label) for label in labels).encode()
 
 
 @st.composite
@@ -477,9 +527,10 @@ INNER = st.sampled_from([0, 1, -1, 16, -16]) | st.integers(-(2**63), 2**63 - 1)
 
 @st.composite
 def aliased_pairs(draw, max_cols=40):
-    """Columnar pairs over main and interaction labels: sorted i < j pairs,
-    possibly none, with any int64 inner products."""
-    labels = tuple(draw(st.lists(LABELS, min_size=1, max_size=max_cols)))
+    """Columnar pairs over main and interaction label names, or any text
+    (raw newlines included): sorted i < j pairs, possibly none, with any
+    int64 inner products."""
+    labels = tuple(draw(st.lists(LABELS.map(str) | TEXTS, min_size=1, max_size=max_cols)))
     combos = list(itertools.combinations(range(len(labels)), 2))
     chosen = []
     if combos:
@@ -494,7 +545,7 @@ def _nest(value, as_dict: bool):
 
 
 @given(aliased_pairs(), st.booleans(), st.booleans())
-@example(AliasedPairs(*[np.zeros(0, dtype=np.int64)] * 3, (ColumnLabel.main(1),)), True, False)
+@example(AliasedPairs(*[np.zeros(0, dtype=np.int64)] * 3, ("c1",)), True, False)
 def test_aliased_pairs_encode_as_the_stdlib_record_list(pairs, outer_dict, inner_dict):
     for payload in (pairs, _nest(pairs, inner_dict),
                     _nest(_nest(pairs, inner_dict), outer_dict)):

@@ -16,7 +16,6 @@ from ssdopt import (
     filtered_sums,
     gwp_via_krawtchouk,
     hadamard_design,
-    j_characteristic,
     krawtchouk,
     sum_j_squared,
     sum_j_squared_filtered,
@@ -27,6 +26,8 @@ from ssdopt import (
     verify_theorems,
 )
 from ssdopt.spectral import _half_fraction_d, d_from_words, sum_j_squared_batch
+
+from _reference import j_characteristic
 
 
 def krawtchouk_bruteforce(i, j, q):
