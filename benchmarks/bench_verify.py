@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         times, pairs = _timed(lambda: aliasing_report(design), KERNEL_REPEATS)
         aliasing.append(
             {"n": n, "construction": "sylvester", "m": design.cols, "pairs": len(pairs),
-             "pairs_sha256": _sha256(pairs.i, pairs.j, pairs.inner, pairs.labels)}
+             "pairs_sha256": _sha256(pairs.i, pairs.j, pairs.inner, pairs.names)}
             | _summary(times)
         )
         print(f"aliasing_report n={n}: {min(times) * 1e3:.3f} ms", file=sys.stderr)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -105,8 +105,7 @@ class SignMatrix:
         factors = np.array(labels, dtype=np.int64).reshape(-1, 2)
         if len(factors) != arr.shape[1]:
             raise ValueError(f"{arr.shape[1]} columns but {len(factors)} labels")
-        i, j = factors[np.lexsort(factors.T[::-1])].T
-        if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
+        if len(set(zip(*factors.T.tolist()))) != len(factors):
             raise ValueError("column labels must be pairwise distinct")
         for name, value in (("entries", arr.astype(np.int8)), ("factors", factors)):
             value.flags.writeable = False
@@ -144,18 +143,15 @@ class SignMatrix:
         return self.entries[:, pos]
 
     @cached_property
-    def _position(self) -> Callable[[int, int], int | None]:
-        """Factor indices (i, j) -> position of their column, None if absent;
-        :attr:`augmented` sets its own arithmetic one (:func:`_pair_position`)."""
-        positions = dict(zip(zip(*self.factors.T.tolist()), range(self.cols)))
-        return lambda i, j: positions.get((i, j))
+    def _positions(self) -> dict[tuple[int, int], int]:
+        return dict(zip(zip(*self.factors.T.tolist()), range(self.cols)))
 
     def label_position(self, label: ColumnLabel) -> int:
         """Position of the column carrying ``label``; ValueError if absent."""
-        pos = self._position(label.i, label.j or 0)
-        if pos is None:
-            raise ValueError(f"no column labeled {label}")
-        return pos
+        try:
+            return self._positions[label.i, label.j or 0]
+        except KeyError:
+            raise ValueError(f"no column labeled {label}") from None
 
     def gram(self) -> np.ndarray:
         """X^T X in exact 64-bit integer arithmetic."""
@@ -266,29 +262,14 @@ class SignMatrix:
         Interactions are ordered lexicographically by column-position pair;
         the product of columns labeled ci and cj is labeled ci*cj. Built once
         per instance; every augmented family is a column selection from it.
-        Its label positions are arithmetic (:func:`_pair_position`).
         """
         if self.cols > 1 and self.factors[:, 1].any():
             raise ValueError("interactions of interaction columns are not supported")
         left, right = np.triu_indices(self.cols, k=1)
         block = self.entries[:, left] * self.entries[:, right]
-        mains = self.factors[:, 0]
-        pairs = np.sort(np.column_stack([mains[left], mains[right]]), axis=1)
-        out = self._selected(np.hstack([self.entries, block]), np.vstack([self.factors, pairs]))
-        main = dict(zip(mains.tolist(), range(self.cols)))
-        out.__dict__["_position"] = partial(_pair_position, main, self.cols)
-        return out
-
-
-def _pair_position(main: dict, q: int, i: int, j: int) -> int | None:
-    """Position of ci (j = 0) or ci*cj in the full augmentation of q mains,
-    ``main`` mapping each main's factor to its position: the interaction of
-    the mains at u < v is column q + u(2q - u - 1)/2 + v - u - 1."""
-    u, v = main.get(i), main.get(j) if j else None
-    if None in (u, v):
-        return None if j else u
-    u, v = min(u, v), max(u, v)
-    return q + u * (2 * q - u - 1) // 2 + v - u - 1
+        a, b = self.factors[left, 0], self.factors[right, 0]
+        pairs = np.column_stack([np.minimum(a, b), np.maximum(a, b)])
+        return self._selected(np.hstack([self.entries, block]), np.vstack([self.factors, pairs]))
 
 
 @dataclass(frozen=True, eq=False)

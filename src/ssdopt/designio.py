@@ -13,14 +13,14 @@ Rationals render in JSON as {"num", "den", "decimal"} where "decimal" is a
 JSON text is byte for byte what the stdlib's ``json.dumps`` gives with
 ``indent=2`` and ``sort_keys=True``, plus one trailing newline, with the
 stdlib's string escaping (:func:`json_text`); :func:`dump_json` writes it a
-piece at a time. Reports carry their aliased pairs as the columnar
-:class:`AliasedPairs` itself, written as the list of ``{i, inner, j,
-label_i, label_j}`` records. Each object's record lines are gathered once
-from per-column tables of finished lines, indented relative to the list, and
-cached; every report depth joins them with its own newline, so a pair list
-written twice (generate's sidecar and report, evaluate's top level and core)
-is encoded once. Labels come from the design's string table
-(:attr:`SignMatrix.label_names`), shared with the CSV header.
+piece at a time, which lowers a command's peak memory. Reports carry their
+aliased pairs as the columnar :class:`AliasedPairs` itself, written as the
+list of ``{i, inner, j, label_i, label_j}`` records. Each object's record
+lines are gathered once from per-column tables of finished lines, indented
+relative to the list, and cached; every report depth joins them with its
+own newline, so a pair list written twice (generate's sidecar and report,
+evaluate's top level and core) is encoded once. Labels come from the
+design's string table, :attr:`SignMatrix.label_names`, as in the CSV header.
 """
 
 from __future__ import annotations
@@ -151,8 +151,16 @@ def fraction_json(value: Fraction) -> dict:
     }
 
 
-def _core_json(n: int, m: int, chosen: Decomposition, lb: Fraction, es2: Fraction,
-               gap: Fraction, optimal: bool, aliased: AliasedPairs) -> dict:
+def _core_json(
+    n: int,
+    m: int,
+    chosen: Decomposition,
+    lb: Fraction,
+    es2: Fraction,
+    gap: Fraction,
+    optimal: bool,
+    aliased: AliasedPairs,
+) -> dict:
     """Numeric core shared by generate reports and evaluate reports.
 
     Shared structure guarantees the round-trip test can compare the two
@@ -187,8 +195,16 @@ def report_json(report: OptimalityReport) -> dict:
     ``"aliased_pairs"`` holds the report's :class:`AliasedPairs` itself;
     :func:`json_text` writes it as the list of pair records.
     """
-    out = _core_json(report.n, report.m, report.chosen, report.lower_bound,
-                     report.es2, report.gap, report.optimal, report.aliased)
+    out = _core_json(
+        report.n,
+        report.m,
+        report.chosen,
+        report.lower_bound,
+        report.es2,
+        report.gap,
+        report.optimal,
+        report.aliased,
+    )
     out["family"] = _family_json(report.family)
     out["d"] = report.d
     out["notes"] = report.notes
@@ -310,7 +326,7 @@ def _json_chunks(value, newline: str, out: list[str]) -> None:
     elif isinstance(value, AliasedPairs):
         # No JSON string holds a raw newline (encode_basestring_ascii escapes
         # it), so the cached lines joined by this depth's newline are exact.
-        # Pieces of 4,096 lines bound what dump_json encodes at a time.
+        # Pieces of 4,096 lines: dump_json never holds the list as one string.
         lines = _aliased_lines(value)
         out.append("[")
         for start in range(0, len(lines), 1 << 12):
@@ -333,7 +349,8 @@ def json_text(payload) -> str:
     """
     out: list[str] = []
     _json_chunks(payload, "\n", out)
-    return "".join([*out, "\n"])
+    out.append("\n")
+    return "".join(out)
 
 
 def dump_json(payload: dict, path: str | Path) -> None:

@@ -77,6 +77,13 @@ class TestSignMatrix:
         with pytest.raises(ValueError):
             SignMatrix(entries, (ColumnLabel.main(1), ColumnLabel.main(1)))
 
+    def test_one_interaction_column_augments_to_itself(self):
+        design = SignMatrix(np.ones((4, 1)), [ColumnLabel(1, 2)])
+        full = design.augmented
+        assert full.cols == 1 and full.label_position(ColumnLabel(1, 2)) == 0
+        with pytest.raises(ValueError, match="no column labeled c1$"):
+            full.label_position(ColumnLabel.main(1))
+
     def test_entries_are_immutable(self):
         m = sylvester_hadamard(2)
         with pytest.raises(ValueError):
