@@ -21,16 +21,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
-import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
+from _harness import machine, summary, timed
 from ssdopt import (
     build_full,
     design_csv_text,
@@ -54,19 +50,9 @@ REPEATS = 7
 DEFAULT_OUT = Path(__file__).with_name("BENCH_io.json")
 
 
-def _timed(fn) -> tuple[list[float], object]:
-    times, result = [], None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return times, result
-
-
 def _entry(name: str, fn) -> dict:
-    times, result = _timed(fn)
-    out = {"name": name, "best_s": min(times), "median_s": statistics.median(times),
-           "runs": len(times)}
+    times, result = timed(fn, REPEATS)
+    out = {"name": name} | summary(times)
     if isinstance(result, str):
         data = result.encode("utf-8")
         out |= {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
@@ -89,9 +75,8 @@ def _generate_writers(n: int, construction: str) -> dict:
             dump_json(sidecar["report"], report_path)
             times.append(time.perf_counter() - start)
         data = b"".join(path.read_bytes() for path in (csv, meta, report_path))
-    return {"name": "generate writers", "best_s": min(times),
-            "median_s": statistics.median(times), "runs": len(times),
-            "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return ({"name": "generate writers"} | summary(times)
+            | {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,16 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         for e in entries:
             print(f"n={n} {construction} {e['name']}: {e['best_s'] * 1e3:.2f} ms",
                   file=sys.stderr)
-    result = {
-        "machine": {
-            "platform": platform.platform(),
-            "processor": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "cases": cases,
-    }
+    result = {"machine": machine(), "cases": cases}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

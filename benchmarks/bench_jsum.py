@@ -20,24 +20,21 @@ import argparse
 import hashlib
 import json
 import math
-import os
-import platform
-import statistics
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
+from _harness import machine, summary, timed
 from ssdopt import (
     FAMILIES,
     SignMatrix,
     drop_columns,
+    filtered_sums,
     hadamard_design,
+    j_terms,
     sum_j_squared,
     verify_lemma1,
 )
-from ssdopt.verify import _THEOREM_DEFICITS, _choices, _fill_terms
+from ssdopt.verify import _THEOREM_DEFICITS, _choices
 
 SUM_ORDERS = (12, 24, 32, 48, 64)
 FILL_ORDERS = (24, 48, 64)
@@ -49,23 +46,6 @@ LEMMA1_REPEATS = 3
 DEFAULT_OUT = Path(__file__).with_name("BENCH_jkernel.json")
 
 
-def _timed(fn, repeats: int) -> tuple[list[float], object]:
-    times, result = [], None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return times, result
-
-
-def _summary(times: list[float]) -> dict:
-    return {
-        "best_s": min(times),
-        "median_s": statistics.median(times),
-        "runs": len(times),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
@@ -75,10 +55,10 @@ def main(argv: list[str] | None = None) -> int:
     for n in SUM_ORDERS:
         for s in (3, 4):
             designs = [hadamard_design(n) for _ in range(SUM_REPEATS)]
-            times, value = _timed(lambda: sum_j_squared(designs.pop(), s), SUM_REPEATS)
+            times, value = timed(lambda: sum_j_squared(designs.pop(), s), SUM_REPEATS)
             sums.append(
                 {"n": n, "s": s, "subsets": math.comb(n - 1, s), "value": value}
-                | _summary(times)
+                | summary(times)
             )
             print(f"sum_j_squared n={n} s={s}: {min(times):.4f} s", file=sys.stderr)
     fills = []
@@ -98,36 +78,32 @@ def main(argv: list[str] | None = None) -> int:
             filled = []
 
             def fill():
-                filled.append(starts.pop())
-                _fill_terms(filled[-1], families)
+                fresh = starts.pop()
+                filled.append(fresh)
+                terms = (term for family in families for term in j_terms(fresh, family))
+                filtered_sums(fresh, dict.fromkeys((s, fixed) for _, s, fixed in terms))
 
-            times, _ = _timed(fill, FILL_REPEATS)
+            times, _ = timed(fill, FILL_REPEATS)
             memo = sorted(filled[-1].j_squared_sums.items())
             fills.append(
                 {"n": n, "q": n - deficit, "choices": len(families), "keys": len(memo),
                  "memo_sha256": hashlib.sha256(repr(memo).encode()).hexdigest()}
-                | _summary(times)
+                | summary(times)
             )
             print(f"theorem term fill n={n} q=n-{deficit} ({len(memo)} keys): "
                   f"{min(times) * 1e3:.2f} ms", file=sys.stderr)
     lemma1 = []
     for n in LEMMA1_ORDERS:
-        times, results = _timed(lambda: verify_lemma1(n), LEMMA1_REPEATS)
+        times, results = timed(lambda: verify_lemma1(n), LEMMA1_REPEATS)
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
         lemma1.append(
             {"n": n, "checks": len(results), "all_ok": all(r.ok for r in results),
              "results_sha256": digest}
-            | _summary(times)
+            | summary(times)
         )
         print(f"verify_lemma1 n={n}: {min(times):.3f} s", file=sys.stderr)
     report = {
-        "machine": {
-            "platform": platform.platform(),
-            "processor": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "machine": machine(),
         "sum_j_squared": sums,
         "theorem_term_fill": fills,
         "verify_lemma1": lemma1,

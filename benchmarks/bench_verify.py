@@ -20,27 +20,26 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
-import statistics
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from _harness import machine, summary, timed
 from ssdopt import (
     SsdFamily,
     aliasing_report,
     build_full,
     build_minus_one,
+    filtered_sums,
     hadamard_design,
+    j_terms,
     verdict,
     verify_lemma1,
     verify_lemma2,
     verify_theorems,
 )
-from ssdopt.verify import _fill_terms
 
 ORDERS = (12, 24, 32, 48, 64)
 ALIASING_ORDERS = (32, 64)
@@ -49,23 +48,6 @@ CAP = 500
 VERIFY_REPEATS = 3
 KERNEL_REPEATS = 7
 DEFAULT_OUT = Path(__file__).with_name("BENCH_verify.json")
-
-
-def _timed(fn, repeats: int) -> tuple[list[float], object]:
-    times, result = [], None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return times, result
-
-
-def _summary(times: list[float]) -> dict:
-    return {
-        "best_s": min(times),
-        "median_s": statistics.median(times),
-        "runs": len(times),
-    }
 
 
 def _sha256(*parts) -> str:
@@ -81,7 +63,8 @@ def _minus_one_sweep(n: int) -> tuple[float, list]:
     start, whose J memo is filled untimed, and each verdict's claims."""
     start = hadamard_design(n)
     labels = start.augmented.labels
-    _fill_terms(start, [SsdFamily.minus_one(label) for label in labels])
+    terms = (term for label in labels for term in j_terms(start, SsdFamily.minus_one(label)))
+    filtered_sums(start, [(s, fixed) for _, s, fixed in terms])
     begin = time.perf_counter()
     reports = [verdict(build_minus_one(start, label)) for label in labels]
     elapsed = time.perf_counter() - begin
@@ -97,22 +80,22 @@ def main(argv: list[str] | None = None) -> int:
     for fn in (verify_lemma1, verify_lemma2, verify_theorems):
         name = fn.__name__
         for n in ORDERS:
-            times, results = _timed(lambda: fn(n, cap=CAP), VERIFY_REPEATS)
+            times, results = timed(lambda: fn(n, cap=CAP), VERIFY_REPEATS)
             verify.append(
                 {"function": name, "n": n, "cap": CAP, "checks": len(results),
                  "all_ok": all(r.ok for r in results),
                  "results_sha256": _sha256(results)}
-                | _summary(times)
+                | summary(times)
             )
             print(f"{name} n={n}: {min(times):.3f} s", file=sys.stderr)
-    times, results = _timed(
+    times, results = timed(
         lambda: verify_theorems(EXHAUSTIVE_ORDER, cap=0), VERIFY_REPEATS
     )
     exhaustive = (
         {"function": "verify_theorems", "n": EXHAUSTIVE_ORDER, "cap": 0,
          "checks": len(results), "all_ok": all(r.ok for r in results),
          "results_sha256": _sha256(results)}
-        | _summary(times)
+        | summary(times)
     )
     print(f"verify_theorems n={EXHAUSTIVE_ORDER} cap=0: {min(times):.3f} s", file=sys.stderr)
     minus_one = []
@@ -122,35 +105,29 @@ def main(argv: list[str] | None = None) -> int:
         claims = runs[-1][1]
         minus_one.append(
             {"n": n, "q": n - 1, "builds": len(claims), "claims_sha256": _sha256(claims)}
-            | _summary(times)
+            | summary(times)
         )
         print(f"minus-one builds+verdicts n={n}: {min(times) * 1e3:.1f} ms", file=sys.stderr)
     row_gram = []
     for n in ORDERS:
         design = build_full(hadamard_design(n)).design
-        times, gram = _timed(design.row_gram, KERNEL_REPEATS)
+        times, gram = timed(design.row_gram, KERNEL_REPEATS)
         row_gram.append(
-            {"n": n, "m": design.cols, "gram_sha256": _sha256(gram)} | _summary(times)
+            {"n": n, "m": design.cols, "gram_sha256": _sha256(gram)} | summary(times)
         )
         print(f"row_gram n={n} m={design.cols}: {min(times) * 1e3:.3f} ms", file=sys.stderr)
     aliasing = []
     for n in ALIASING_ORDERS:
         design = build_full(hadamard_design(n, "sylvester")).design
-        times, pairs = _timed(lambda: aliasing_report(design), KERNEL_REPEATS)
+        times, pairs = timed(lambda: aliasing_report(design), KERNEL_REPEATS)
         aliasing.append(
             {"n": n, "construction": "sylvester", "m": design.cols, "pairs": len(pairs),
              "pairs_sha256": _sha256(pairs.i, pairs.j, pairs.inner, pairs.names)}
-            | _summary(times)
+            | summary(times)
         )
         print(f"aliasing_report n={n}: {min(times) * 1e3:.3f} ms", file=sys.stderr)
     report = {
-        "machine": {
-            "platform": platform.platform(),
-            "processor": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "machine": machine(),
         "verify": verify,
         "verify_exhaustive": exhaustive,
         "minus_one_verdicts": minus_one,

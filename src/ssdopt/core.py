@@ -234,12 +234,8 @@ class SignMatrix:
 
     @cached_property
     def j_squared_sums(self) -> dict:
-        """Memo of squared-J sums by (s, F): the sum of J_s^2 over the
-        s-subsets that contain the sorted fixed columns F (all of them when
-        F = ()), filled only by :func:`ssdopt.spectral.filtered_sums`.
-
-        The entries never change, so each is enumerated once per instance.
-        """
+        """Memo of the squared-J sums of :func:`ssdopt.spectral.filtered_sums`,
+        its only reader and writer; each is enumerated once per instance."""
         return {}
 
     @cached_property

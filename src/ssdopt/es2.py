@@ -54,16 +54,14 @@ def es2_direct(design: SignMatrix) -> Fraction:
 def es2_via_j(build: SsdBuild) -> Fraction:
     """E(s^2) recomputed from the starting array's J-characteristics.
 
-    Sums the build's recorded ``j_terms``, read through
-    :func:`spectral.filtered_sums` with one call per order, which enumerates
-    the terms its memo lacks. Independent of :func:`es2_direct`; the two must
-    agree exactly for every build, which the verdict enforces.
+    Sums the build's recorded ``j_terms``, read by their (s, F) keys in one
+    :func:`spectral.filtered_sums` call, which enumerates the terms its memo
+    lacks. Independent of :func:`es2_direct`; the two must agree exactly for
+    every build, which the verdict enforces.
     """
-    numerator, terms = 0, build.j_terms
-    for s in dict.fromkeys(order for _, order, _ in terms):
-        of_order = [(c, fixed) for c, order, fixed in terms if order == s]
-        sums = filtered_sums(build.start, s, [fixed for _, fixed in of_order])
-        numerator += sum(c * value for (c, _), value in zip(of_order, sums))
+    terms = build.j_terms
+    sums = filtered_sums(build.start, [(s, fixed) for _, s, fixed in terms])
+    numerator = sum(c * value for (c, _, _), value in zip(terms, sums))
     m = build.design.cols
     return Fraction(numerator, m * (m - 1))
 

@@ -12,11 +12,11 @@ columns form one design of a batch of equal width, with its own base XOR(F),
 and one kernel visits every subset of each once: it XORs the columns' -1
 bits, packed in as many uint64 words as n needs, in fixed-size chunks, and
 popcounts the result. Each design keeps one memo of its squared-J sums,
-keyed by (s, F) with F the sorted fixed columns (F = () for the plain sum),
-and one fill, :func:`filtered_sums`, enumerates its missing keys as one such
-batch per fixed-set size; the plain and filtered sums read through it. The
-half-fraction d of a column triple comes from J_3 on the same packed bits
-(:func:`d_from_words`).
+keyed by (s, F) with F the sorted fixed columns (F = () for the plain sum).
+Every request for such sums is a list of (s, F) keys to :func:`filtered_sums`,
+which enumerates the missing ones as one batch per order and fixed-set size;
+the plain and filtered sums are one-key requests. The half-fraction d of a
+column triple comes from J_3 on the same packed bits (:func:`d_from_words`).
 
 J sums are exact integers; distributions and wordlength patterns are exact
 rationals.
@@ -248,52 +248,48 @@ def sum_j_squared_batch(
 
 
 def filtered_sums(
-    design: SignMatrix, s: int, fixed_sets: Iterable[Sequence[int]]
+    design: SignMatrix, keys: Iterable[tuple[int, Sequence[int]]]
 ) -> list[int]:
-    """For each fixed set F (in any order, of any sizes), the sum of J_s(S)^2
-    over the s-subsets S that contain F (all of them when F is empty), read
-    from ``design``'s memo under the key (s, sorted F).
+    """For each key (s, F), of any order and fixed-set size, with F in any
+    order, the sum of J_s(S)^2 over the s-subsets S that contain F (all of
+    them when F is empty), read from ``design``'s memo under (s, sorted F).
 
-    The missing keys of each fixed-set size are enumerated together as one
+    The missing keys of each (s, |F|) are enumerated together as one
     :func:`sum_j_squared_batch` call, so each design instance enumerates each
     key once; callers that need many keys pass them in one call.
     """
     memo = design.j_squared_sums
-    keys = [(s, tuple(sorted(fixed))) for fixed in fixed_sets]
-    missing: dict[int, dict] = {}
-    for key in keys:
-        if key not in memo:
-            missing.setdefault(len(key[1]), {})[key] = None
-    for size, group in missing.items():
-        fixed = [key[1] for key in group]
-        sums = sum_j_squared_batch(design, s, [()] * len(fixed), fixed)
-        memo.update(zip(group, sums.tolist()))
+    keys = [(s, tuple(sorted(fixed))) for s, fixed in keys]
+    missing: dict[tuple[int, int], dict] = {}
+    for s, fixed in keys:
+        if (s, fixed) not in memo:
+            missing.setdefault((s, len(fixed)), {})[fixed] = None
+    for (s, _), group in missing.items():
+        sums = sum_j_squared_batch(design, s, [()] * len(group), list(group))
+        memo.update(zip([(s, fixed) for fixed in group], sums.tolist()))
     return [memo[key] for key in keys]
 
 
 def sum_j_squared(design: SignMatrix, s: int) -> int:
-    """Exhaustive sum of J_s(S)^2 over all C(q, s) column subsets.
-
-    Returns 0 when s exceeds the column count (no subsets exist); the
-    design's memo key (s, ()) holds it (:func:`filtered_sums`).
-    """
+    """Exhaustive sum of J_s(S)^2 over all C(q, s) column subsets: the key
+    (s, ()) of :func:`filtered_sums`, 0 when s exceeds the column count."""
     if s < 1:
         raise ValueError(f"order s must be at least 1, got {s}")
-    return filtered_sums(design, s, [()])[0]
+    return filtered_sums(design, [(s, ())])[0]
 
 
 def sum_j_squared_filtered(
     design: SignMatrix, s: int, fixed: Iterable[int]
 ) -> int:
-    """Sum of J_s(S)^2 over the s-subsets that contain all ``fixed`` columns,
-    through the design's memo (:func:`filtered_sums`), which rejects
-    repeated or out-of-range columns."""
+    """Sum of J_s(S)^2 over the s-subsets that contain all ``fixed`` columns:
+    the key (s, fixed) of :func:`filtered_sums`, which rejects repeated or
+    out-of-range columns."""
     anchor = tuple(fixed)
     if len(anchor) not in (1, 2):
         raise ValueError(f"fixed set must have 1 or 2 columns, got {len(anchor)}")
     if s <= len(anchor):
         raise ValueError(f"order s must exceed the fixed set size, got s={s}")
-    return filtered_sums(design, s, [anchor])[0]
+    return filtered_sums(design, [(s, anchor)])[0]
 
 
 def _half_fraction_d(n: int, j3: int) -> int:

@@ -19,12 +19,12 @@ its specific columns (as positions of the saturated design); no child design
 is built. The d of a slice's triples comes from one XOR and popcount of
 their packed columns, and each item's closed form is evaluated once per d.
 The theorem walk lists every choice of one start first and fills the start's
-memo with all of their J terms (:func:`builder.j_terms`), one batch per
-order and fixed-set size; it then builds and judges one choice at a time,
-and each verdict reads its terms from the memo. A minus-one build is the
-start's full augmentation without one column, whose squared Gram total its
-verdict reads as a downdate of the full one's (:meth:`SignMatrix.without`),
-so no minus-one build forms a row Gram.
+memo with the (s, F) keys of all of their J terms (:func:`builder.j_terms`)
+in one :func:`spectral.filtered_sums` call; it then builds and judges one
+choice at a time, and each verdict reads its terms from the memo. A
+minus-one build is the start's full augmentation without one column, whose
+squared Gram total its verdict reads as a downdate of the full one's
+(:meth:`SignMatrix.without`), so no minus-one build forms a row Gram.
 """
 
 from __future__ import annotations
@@ -216,16 +216,6 @@ def _choices(
         yield "", SsdFamily(kind), functools.partial(make, start)
 
 
-def _fill_terms(start: SignMatrix, families: Iterable[SsdFamily]) -> None:
-    """Enumerate the distinct (s, F) keys of the families' J terms on
-    ``start`` into its memo: one :func:`spectral.filtered_sums` call per order."""
-    keys = dict.fromkeys(
-        (s, fixed) for family in families for _, s, fixed in j_terms(start, family)
-    )
-    for s in sorted({s for s, _ in keys}):
-        filtered_sums(start, s, [fixed for order, fixed in keys if order == s])
-
-
 _THEOREM_DEFICITS = (1, 2, 3)
 
 
@@ -263,7 +253,8 @@ def verify_theorems(
             if deficit in cells
             for choice in _choices(kind, start, removed, cap)
         ]
-        _fill_terms(start, (family for _, (_, family, _) in choices))
+        terms = (term for _, (_, family, _) in choices for term in j_terms(start, family))
+        filtered_sums(start, dict.fromkeys((s, fixed) for _, s, fixed in terms))
         for name, (suffix, _, make) in choices:
             context = f"q=n-{deficit}{suffix}"
             results += [

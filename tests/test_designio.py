@@ -29,6 +29,7 @@ from ssdopt import (
 from ssdopt.cli import main
 
 from _reference import aliased_records
+from _texts import assert_same_text
 
 
 class TestCsvRoundTrip:
@@ -181,10 +182,9 @@ class TestJsonFilesMatchStdlib:
         build = make_build()
         report = verdict(build)
         assert bool(report.aliased) == aliased
-        assert (tmp_path / "d.meta.json").read_bytes() == stdlib_bytes(
-            sidecar_json(build, report)
-        )
-        assert report_path.read_bytes() == stdlib_bytes(report_json(report))
+        assert_same_text((tmp_path / "d.meta.json").read_bytes(),
+                         stdlib_bytes(sidecar_json(build, report)))
+        assert_same_text(report_path.read_bytes(), stdlib_bytes(report_json(report)))
 
 
 class TestOnePairListAtTwoDepths:
@@ -197,7 +197,7 @@ class TestOnePairListAtTwoDepths:
         assert bool(pairs) == aliased
         for payload in (first, second):
             expected = json.dumps(payload, indent=2, sort_keys=True, default=aliased_records)
-            assert json_text(payload) == expected + "\n"
+            assert_same_text(json_text(payload), expected + "\n")
 
     @pytest.mark.parametrize("n, construction, aliased",
                              [(16, "sylvester", True), (12, "auto", False)])
@@ -210,7 +210,7 @@ class TestOnePairListAtTwoDepths:
         payloads = (sidecar["report"], sidecar)[:: 1 if report_first else -1]
         self.check(*payloads, report.aliased, aliased)
         dump_json(sidecar, tmp_path / "s.json")
-        assert (tmp_path / "s.json").read_text(encoding="utf-8") == json_text(sidecar)
+        assert_same_text((tmp_path / "s.json").read_text(encoding="utf-8"), json_text(sidecar))
 
     @pytest.mark.parametrize("n, construction, aliased",
                              [(16, "sylvester", True), (12, "auto", False)])

@@ -325,28 +325,29 @@ class TestAnchoredSums:
         design = hadamard_design(12)
         singles = [(c,) for c in range(11)]
         pairs = list(itertools.combinations(range(11), 2))
-        assert filtered_sums(design, 3, singles) == [720] * 11
-        assert filtered_sums(design, 4, singles) == [144 * 10 * 8 // 6] * 11
-        assert filtered_sums(design, 3, pairs) == [144] * 55
+        assert filtered_sums(design, [(3, f) for f in singles]) == [720] * 11
+        assert filtered_sums(design, [(4, f) for f in singles]) == [144 * 10 * 8 // 6] * 11
+        assert filtered_sums(design, [(3, f) for f in pairs]) == [144] * 55
 
     def test_each_instance_enumerates_each_table_once(self, monkeypatch):
         calls = counting_batches(monkeypatch)
         design = hadamard_design(12)
         for _ in range(2):
             for s, anchors in itertools.product((3, 4), (1, 2)):
-                filtered_sums(design, s, itertools.combinations(range(11), anchors))
+                sets = itertools.combinations(range(11), anchors)
+                filtered_sums(design, [(s, f) for f in sets])
         assert sum_j_squared(design, 3) == 2640
         assert calls == [(3, 1), (3, 2), (4, 1), (4, 2), (3, 0)]
-        filtered_sums(design, 3, [(4, 2), (0,), (0, 1, 2), (), (2, 4)])
+        filtered_sums(design, [(3, f) for f in [(4, 2), (0,), (0, 1, 2), (), (2, 4)]])
         assert calls[5:] == [(3, 3)]
-        filtered_sums(hadamard_design(12), 3, [(1,)])
+        filtered_sums(hadamard_design(12), [(3, (1,))])
         assert calls[6:] == [(3, 1)]
 
     def test_tables_sum_to_binomial_times_plain_sum(self):
         design, _ = drop_columns(hadamard_design(16), [3])
         for s, anchors in itertools.product((3, 4, 5), (1, 2)):
             sets = itertools.combinations(range(design.cols), anchors)
-            total = sum(filtered_sums(design, s, sets))
+            total = sum(filtered_sums(design, [(s, f) for f in sets]))
             assert total == math.comb(s, anchors) * sum_j_squared(design, s)
 
     @pytest.mark.parametrize("anchors", [1, 2])
@@ -376,22 +377,23 @@ class TestAnchoredSums:
 
     def test_tables_are_read_only(self):
         design = hadamard_design(12)
-        values = filtered_sums(design, 3, [(0, 1)])
+        values = filtered_sums(design, [(3, (0, 1))])
         values[0] = 0
-        assert filtered_sums(design, 3, [(1, 0)]) == [144]
+        assert filtered_sums(design, [(3, (1, 0))]) == [144]
         assert all(type(v) is int for v in design.j_squared_sums.values())
 
     def test_order_above_columns_gives_zero_tables(self):
         design = SignMatrix.with_main_labels(np.ones((4, 3), dtype=np.int8))
-        assert filtered_sums(design, 4, [(0,), (1,), (2,)]) == [0, 0, 0]
-        assert filtered_sums(design, 5, itertools.combinations(range(3), 2)) == [0] * 3
-        assert filtered_sums(design, 4, [()]) == [0]
+        assert filtered_sums(design, [(4, (0,)), (4, (1,)), (4, (2,))]) == [0, 0, 0]
+        pairs = itertools.combinations(range(3), 2)
+        assert filtered_sums(design, [(5, f) for f in pairs]) == [0] * 3
+        assert filtered_sums(design, [(4, ())]) == [0]
 
     def test_rejects_bad_arguments(self):
         design = hadamard_design(12)
         for s, fixed in ((3, (1, 1)), (3, (0, 11)), (3, (-1,)), (1, (0, 1))):
             with pytest.raises(ValueError):
-                filtered_sums(design, s, [fixed])
+                filtered_sums(design, [(s, fixed)])
         assert not design.j_squared_sums
 
     def test_lemma2_reads_no_filtered_sum(self, monkeypatch):
@@ -418,7 +420,7 @@ class TestTabulatedTerms:
         }
         calls = counting_batches(monkeypatch)
         for (s, fixed), value in expected.items():
-            assert filtered_sums(design, s, [fixed, fixed]) == [value, value]
+            assert filtered_sums(design, [(s, fixed), (s, fixed)]) == [value, value]
             if len(fixed) == 2:
                 assert sum_j_squared_filtered(design, s, fixed[::-1]) == value
         assert len(calls) == 7 + 21 + 7 + 21
@@ -430,6 +432,20 @@ class TestTabulatedTerms:
             expected = filtered_bruteforce(design, s, sorted(fixed))
             assert sum_j_squared_filtered(design, s, fixed) == expected
         assert set(design.j_squared_sums) == {(4, (2, 5)), (3, (6,))}
+
+    def test_one_call_takes_keys_of_every_order_and_size(self, monkeypatch):
+        """Plain, one- and two-column keys of both orders, unsorted and
+        repeated, in one call: one batch per distinct (s, |F|), and one memo
+        entry per distinct sorted key."""
+        design = random_sign_matrix(np.random.default_rng(13), 12, 7)
+        keys = [(4, ()), (3, (5,)), (3, ()), (4, (6, 1)), (3, (2, 0)), (4, (1, 6)),
+                (3, (5,)), (4, ()), (3, (0, 2)), (4, (3,)), (3, (4,)), (4, (5, 2))]
+        calls = counting_batches(monkeypatch)
+        values = filtered_sums(design, keys)
+        assert values == [filtered_bruteforce(design, s, fixed) for s, fixed in keys]
+        assert sorted(calls) == sorted({(s, len(fixed)) for s, fixed in keys})
+        sorted_keys = {(s, tuple(sorted(fixed))) for s, fixed in keys}
+        assert len(sorted_keys) == 8 and design.j_squared_sums.keys() == sorted_keys
 
     def test_theorem_verdicts_read_the_start_tables(self, monkeypatch):
         """One batch per (start, order, fixed-set size), all before the
