@@ -6,12 +6,16 @@ build that disagrees with a claim of its cell), 2 usage or input error,
 value falls below the lower bound, or under generate the build disagrees
 with a claim of its cell).
 All commands are deterministic; identical invocations produce identical bytes.
+:func:`main` may be called any number of times in one process: the argument
+parser is built on the first call and reused, since parsing leaves no state
+in it, and each command looks up the functions it runs when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -66,6 +70,14 @@ def _cap(text: str) -> int:
     return cap
 
 
+def _factor(flag: str, i: int, q: int) -> ColumnLabel:
+    """The label ci of a 1-based factor index given to ``flag``, which must
+    name one of the q columns of the saturated array."""
+    if not 1 <= i <= q:
+        raise ValueError(f"{flag} must be in 1..{q}, got {i}")
+    return ColumnLabel.main(i)
+
+
 def _summary_line(report) -> str:
     return (
         f"n={report.n} m={report.m} family={report.family.kind} "
@@ -84,7 +96,8 @@ def _cmd_generate(args) -> int:
     saturated = hadamard_design(args.n, args.construction, args.max_order)
     if args.drop_cols is not None:
         positions = [
-            saturated.label_position(ColumnLabel.main(i)) for i in args.drop_cols
+            saturated.label_position(_factor("--drop-cols", i, saturated.cols))
+            for i in args.drop_cols
         ]
     else:
         if not 0 <= args.drop < saturated.cols:
@@ -103,7 +116,7 @@ def _cmd_generate(args) -> int:
     else:
         if args.parent is None:
             raise ValueError("--parent I is required for family single-parent")
-        parent = start.label_position(ColumnLabel.main(args.parent))
+        parent = start.label_position(_factor("--parent", args.parent, saturated.cols))
         build = build_single_parent(start, parent, removed)
 
     report = verdict(build)
@@ -189,6 +202,7 @@ def _cmd_verify_theorems(args) -> int:
     return _finish_verification(failures)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssdopt",
@@ -238,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
          "check every covered construction cell against its claimed values"),
     ):
         ver = sub.add_parser(name, help=summary)
-        ver.add_argument("--n", type=int, nargs="+", default=[12, 16, 20, 24])
+        ver.add_argument("--n", type=int, nargs="+", default=(12, 16, 20, 24))
         ver.add_argument(
             "--cap", type=_cap, default=500,
             help="max checks per item, lexicographic prefix; 0 means exhaustive",

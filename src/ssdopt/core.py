@@ -5,6 +5,12 @@ with entries +1/-1 and one distinct label per column, held as a pair of
 factor indices (:attr:`SignMatrix.factors`); :class:`ColumnLabel` is the
 parsed and user-facing form of one label. All arithmetic in this module is
 exact integer arithmetic; there is no floating point anywhere.
+
+A Hadamard matrix H is checked by H H^T = nI on the exact int64 row Gram,
+each entry n - 2 * popcount(r_i ^ r_j) of two rows' packed -1 bits. Each
+construction checks once: :func:`normalize` checks its input and marks its
+result, which only negates rows and columns, as Hadamard, so
+:func:`to_hadamard_design` reads the mark instead of checking again.
 """
 
 from __future__ import annotations
@@ -80,6 +86,22 @@ def _packed_rows(bits: np.ndarray) -> np.ndarray:
     words = np.zeros((bits.shape[0], 8 * -(-bits.shape[1] // 64)), dtype=np.uint8)
     words[:, : packed.shape[1]] = packed
     return words.view(np.uint64)
+
+
+def _row_gram(entries: np.ndarray) -> np.ndarray:
+    """X X^T of a +-1 array X as exact int64.
+
+    Entry (i, j) is m - 2 * popcount(r_i ^ r_j), where r_i holds row i's
+    -1 bits packed into uint64 words; row blocks bound the temporaries.
+    """
+    n, m = entries.shape
+    words = _packed_rows(entries < 0)
+    gram = np.empty((n, n), dtype=np.int64)
+    block = max(1, _GRAM_WORDS // (n * words.shape[1] or 1))
+    for start in range(0, n, block):
+        xor = words[start : start + block, None, :] ^ words[None, :, :]
+        gram[start : start + block] = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
+    return m - 2 * gram
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -195,19 +217,8 @@ class SignMatrix:
         return out
 
     def row_gram(self) -> np.ndarray:
-        """X X^T as exact int64: the n x n run inner products.
-
-        Entry (i, j) is m - 2 * popcount(r_i ^ r_j), where r_i holds row i's
-        -1 bits packed into uint64 words; row blocks bound the temporaries.
-        """
-        n, m = self.rows, self.cols
-        words = _packed_rows(self.entries < 0)
-        gram = np.empty((n, n), dtype=np.int64)
-        block = max(1, _GRAM_WORDS // (n * words.shape[1] or 1))
-        for start in range(0, n, block):
-            xor = words[start : start + block, None, :] ^ words[None, :, :]
-            gram[start : start + block] = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
-        return m - 2 * gram
+        """X X^T as exact int64: the n x n run inner products (:func:`_row_gram`)."""
+        return _row_gram(self.entries)
 
     @cached_property
     def gram_square_sum(self) -> int:
@@ -250,6 +261,12 @@ class SignMatrix:
             return True
         balanced = not np.any(self.entries.sum(axis=0, dtype=np.int64))
         return balanced and self.gram_square_sum == q * n * n
+
+    @cached_property
+    def _hadamard(self) -> bool:
+        """Whether the entries form a Hadamard matrix (:func:`_is_hadamard`),
+        checked once per instance; :func:`normalize` seeds it on its result."""
+        return _is_hadamard(self.entries)
 
     @cached_property
     def augmented(self) -> "SignMatrix":
@@ -299,11 +316,12 @@ def _is_prime(p: int) -> bool:
 
 
 def _is_hadamard(entries: np.ndarray) -> bool:
+    """Whether a +-1 array is square with H H^T = nI, read off the exact
+    popcount row Gram (:func:`_row_gram`)."""
     n = entries.shape[0]
     if entries.shape != (n, n):
         return False
-    wide = entries.astype(np.int64)
-    return bool(np.array_equal(wide @ wide.T, n * np.eye(n, dtype=np.int64)))
+    return bool(np.array_equal(_row_gram(entries), n * np.eye(n, dtype=np.int64)))
 
 
 def sylvester_hadamard(k: int, max_order: int = DEFAULT_MAX_ORDER) -> SignMatrix:
@@ -361,14 +379,18 @@ def paley_hadamard(p: int, max_order: int = DEFAULT_MAX_ORDER) -> SignMatrix:
 def normalize(matrix: SignMatrix) -> SignMatrix:
     """Equivalent Hadamard matrix whose first row and column are all +1.
 
-    Only negates rows and columns, so the result stays Hadamard. Idempotent.
+    Only negates rows and columns, so the result stays Hadamard and is
+    marked so, which spares :func:`to_hadamard_design` a second check.
+    Idempotent.
     """
-    if not _is_hadamard(matrix.entries):
+    if not matrix._hadamard:
         raise ValueError("input is not a Hadamard matrix")
     e = matrix.entries.astype(np.int8).copy()
     e[:, e[0] < 0] *= -1
     e[e[:, 0] < 0, :] *= -1
-    return SignMatrix(e, matrix.factors)
+    out = SignMatrix(e, matrix.factors)
+    out.__dict__["_hadamard"] = True
+    return out
 
 
 def to_hadamard_design(matrix: SignMatrix) -> SignMatrix:
@@ -377,7 +399,7 @@ def to_hadamard_design(matrix: SignMatrix) -> SignMatrix:
     The result is a saturated OA(n, n-1, 2, 2) with columns labeled
     c1 ... c(n-1).
     """
-    if not _is_hadamard(matrix.entries):
+    if not matrix._hadamard:
         raise ValueError("input is not a Hadamard matrix")
     if not np.all(matrix.entries[:, 0] == 1):
         raise ValueError("first column is not all +1; normalize the matrix first")

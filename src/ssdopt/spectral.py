@@ -168,9 +168,10 @@ def _sum_squared_j(words: np.ndarray, base, n: int, k: int) -> np.ndarray:
     design; the result is an int64 array of B sums. Each design's subsets
     are XORed and popcounted on their own. Each subset's XOR is one prefix
     row XOR one suffix row, formed _CHUNK subsets at a time (_CHUNK // B per
-    design, so the temporaries do not grow with B). Plans of k <= 4 (halves
-    of at most two indices) are cached; larger ones are rebuilt per call.
-    Nothing here writes to a plan.
+    design, so the temporaries do not grow with B). A one-word row (n <= 64)
+    is popcounted with no sum over words, and a lone design is binned with no
+    per-design offset. Plans of k <= 4 (halves of at most two indices) are
+    cached; larger ones are rebuilt per call. Nothing here writes to a plan.
     """
     designs, r = words.shape[:2]
     plan = _small_plan if k <= 4 else _build_plan
@@ -194,8 +195,14 @@ def _sum_squared_j(words: np.ndarray, base, n: int, k: int) -> np.ndarray:
         owners = slice(first - 1, last)
         pairs = np.arange(start, stop) + shift[owners].repeat(runs)
         xor = prefix[:, owners].repeat(runs, axis=1) ^ suffix.take(pairs, axis=1)
-        popcounts = np.bitwise_count(xor).sum(axis=2, dtype=np.intp)
-        histogram += np.bincount((popcounts + offsets).ravel(), minlength=len(histogram))
+        popcounts = np.bitwise_count(xor)
+        if words.shape[2] == 1:
+            popcounts = popcounts[..., 0]
+        else:
+            popcounts = popcounts.sum(axis=2, dtype=np.intp)
+        if designs > 1:
+            popcounts = popcounts + offsets
+        histogram += np.bincount(popcounts.ravel(), minlength=len(histogram))
     return histogram.reshape(designs, n + 1) @ _squares(n)
 
 

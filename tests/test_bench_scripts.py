@@ -13,6 +13,10 @@ import pytest
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 SMALLEST = {
+    "bench_cli": {
+        "STARTS": ((12, "auto"),), "EVALUATED": ((12, "full"),),
+        "VERIFY": (["verify-theorems", "--n", "12", "--cap", "5"],), "REPEATS": 1,
+    },
     "bench_io": {"STARTS": ((12, "auto"), (16, "sylvester")), "REPEATS": 1},
     "bench_jsum": {
         "SUM_ORDERS": (12,), "FILL_ORDERS": (12,), "LEMMA1_ORDERS": (12,),
@@ -24,6 +28,7 @@ SMALLEST = {
     },
 }
 TOP_LEVEL = {
+    "bench_cli": {"machine", "commands"},
     "bench_io": {"machine", "cases"},
     "bench_jsum": {"machine", "sum_j_squared", "theorem_term_fill", "verify_lemma1"},
     "bench_verify": {"machine", "verify", "verify_exhaustive", "minus_one_verdicts",

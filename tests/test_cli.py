@@ -127,6 +127,18 @@ class TestGenerate:
         assert stdout == "" and not out.exists()
         assert stderr.count("\n") == 1 and "error: " + flag[-2] in stderr
 
+    @pytest.mark.parametrize("flag, args", [
+        ("--parent", ["--family", "single-parent", "--parent", "0"]),
+        ("--parent", ["--family", "single-parent", "--drop", "2", "--parent", "12"]),
+        ("--drop-cols", ["--drop-cols", "0"]),
+        ("--drop-cols", ["--drop-cols", "3,12"]),
+    ])
+    def test_factor_index_outside_the_array_exits_2(self, tmp_path, capsys, flag, args):
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(["generate", "--n", "12", *args, "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert stderr == f"error: {flag} must be in 1..11, got {args[-1].split(',')[-1]}\n"
+
     def test_family_choices_are_the_family_table(self):
         sub = next(
             a for a in _build_parser()._actions
@@ -517,3 +529,51 @@ class TestUsage:
             main(["frobnicate"])
         assert err.value.code == 2
 
+
+class TestRepeatedMain:
+    """main(argv) runs any sequence of commands in one process, on a parser
+    built once."""
+
+    def test_commands_in_sequence_leave_no_state(self, tmp_path, capsys, monkeypatch):
+        import ssdopt.cli
+
+        argv = ["generate", "--n", "12", "--family", "single-parent", "--drop", "1",
+                "--parent", "3", "--out", str(tmp_path / "d.csv"),
+                "--report", str(tmp_path / "r.json")]
+
+        def generate():
+            result = run(argv, capsys)
+            return result, {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        first = generate()
+        assert first[0][0] == 0 and len(first[1]) == 3
+        with pytest.raises(SystemExit) as err:
+            main(["generate", "--n", "12", "--family", "nope", "--drop-cols", "1,2"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert run(["generate", "--n", "6", "--family", "minus-one", "--delete", "c1",
+                    "--out", str(tmp_path / "x.csv")], capsys)[0] == 2
+
+        def disagreeing_verdict(build):
+            raise ArithmeticError("routes disagree")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ssdopt.cli, "verdict", disagreeing_verdict)
+            assert run([*argv[:-4], "--out", str(tmp_path / "y.csv")], capsys)[0] == 3
+        assert generate() == first
+
+    def test_parser_is_built_at_most_once(self, tmp_path, capsys, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(10):
+            assert run(["generate", "--n", "6", "--out", str(tmp_path / "x.csv")], capsys)[0] == 2
+        assert built.count("ssdopt") <= 1
+
+    def test_verify_n_defaults_to_a_tuple(self):
+        for command in ("verify-lemmas", "verify-theorems"):
+            assert _build_parser().parse_args([command]).n == (12, 16, 20, 24)

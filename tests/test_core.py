@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import ssdopt.core
 from ssdopt import (
     ColumnLabel,
     SignMatrix,
@@ -240,6 +241,50 @@ class TestNormalize:
         bad = SignMatrix.with_main_labels(np.ones((4, 4), dtype=int))
         with pytest.raises(ValueError):
             normalize(bad)
+
+
+def _constructed_hadamard_matrices():
+    """Every Hadamard matrix of order at most 64 a construction reaches."""
+    for n, construction in itertools.product(range(4, 65, 4), ("sylvester", "paley")):
+        try:
+            yield hadamard_matrix(n, construction)
+        except ValueError:
+            pass
+
+
+class TestHadamardCheck:
+    @pytest.mark.parametrize(
+        "matrix", list(_constructed_hadamard_matrices()),
+        ids=lambda m: f"n{m.rows}",
+    )
+    def test_popcount_check_equals_int64_product(self, matrix):
+        """_is_hadamard agrees with H H^T == nI in int64 on each constructed
+        matrix and on it with any one entry flipped."""
+        n, entries = matrix.rows, matrix.entries
+
+        def reference(entries):
+            wide = entries.astype(np.int64)
+            return bool(np.array_equal(wide @ wide.T, n * np.eye(n, dtype=np.int64)))
+
+        assert ssdopt.core._is_hadamard(entries) is reference(entries) is True
+        corners = [(0, 0), (n - 1, n - 1)]
+        for r, c in [*corners, *np.random.default_rng(n).integers(n, size=(4, 2))]:
+            flipped = entries.copy()
+            flipped[r, c] *= -1
+            assert ssdopt.core._is_hadamard(flipped) is reference(flipped) is False
+
+    @pytest.mark.parametrize("n", [12, 16, 64])
+    def test_hadamard_design_checks_once(self, n, monkeypatch):
+        calls, real = [], ssdopt.core._is_hadamard
+        monkeypatch.setattr(ssdopt.core, "_is_hadamard", lambda e: calls.append(e) or real(e))
+        hadamard_design(n)
+        assert len(calls) == 1
+
+    def test_to_hadamard_design_rejects_non_hadamard(self):
+        entries = sylvester_hadamard(3).entries.copy()
+        entries[2, 5] *= -1
+        with pytest.raises(ValueError, match="not a Hadamard matrix"):
+            to_hadamard_design(SignMatrix.with_main_labels(entries))
 
 
 class TestHadamardDesign:

@@ -371,6 +371,37 @@ def test_batched_kernel_equals_each_design_alone(stack, k):
                 assert total == with_base == 0
 
 
+@st.composite
+def word_batches(draw):
+    """1 or 3 random n x (r + 1) sign matrices of one shape, r <= 7, with
+    n <= 64 (one word per row) or 68 <= n <= 128 (two words): r columns and
+    a last one whose -1 bits are the design's base."""
+    n = draw(st.one_of(st.integers(1, 64), st.integers(68, 128)))
+    width, designs = draw(st.integers(0, 7)), draw(st.sampled_from((1, 3)))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=designs, max_size=designs))
+    return [_random_signs(seed, n, width + 1) for seed in seeds]
+
+
+@given(word_batches(), st.integers(0, 5))
+@example([_random_signs(seed, 64, 8) for seed in range(3)], 4)
+@example([_random_signs(1, 128, 8)], 4)
+def test_one_and_two_word_kernel_equals_extension_loop(stack, k):
+    """Each design's sum over its k-subsets joined with its own base equals
+    the pure-Python loop over integer masks, in one- and two-word rows, for
+    a lone design and a batch of three."""
+    n, width = stack[0].rows, stack[0].cols - 1
+    words = np.stack([design.neg_words[:width] for design in stack])
+    bases = np.stack([design.neg_words[width] for design in stack])
+    assert words.shape[2] == (1 if n <= 64 else 2)
+    expected = []
+    for design in stack:
+        masks = neg_masks_loop(design)
+        expected.append(sum_over_extensions_loop(masks[:width], masks[width], n, k))
+    for chunk in CHUNKS:
+        with mock.patch.object(ssdopt.spectral, "_CHUNK", chunk):
+            assert ssdopt.spectral._sum_squared_j(words, bases, n, k).tolist() == expected
+
+
 @given(equivalent_saturated(), st.data())
 def test_packed_d_equals_d_parameter(saturated, data):
     triple = data.draw(st.lists(
