@@ -10,14 +10,17 @@ Times ``ssdopt.cli.main(argv)`` with its stdout captured:
   design (m = 125), both written by ``generate`` before the clock starts.
   The n = 64 full design (m = 2016) is left out: evaluate's GWP is cubic in m;
 * ``verify-lemmas`` and ``verify-theorems`` at the CLI defaults;
-* building the argument parser alone, uncached (``_build_parser``).
+* building the argument parser alone, uncached (``_build_parser``);
+* the Hadamard-construction layer alone: ``hadamard_design(n, construction)``
+  at every start above, its sha256 taken over the entries and the labels.
 
 Each command runs once untimed, so lazy set-up in the process is done, then
-REPEATS timed runs with plain ``time.perf_counter``; best and median are
-recorded. Writes one JSON file with the machine, the times, every exit code
-and a sha256 over each command's stdout (the temporary directory's path
-replaced by ``<tmp>``) and the files it wrote, so two files compare outputs
-as well as times.
+REPEATS timed runs with plain ``time.perf_counter``; the parser and Hadamard
+entries are timed from their first call. Best and median are recorded.
+Writes one JSON file with the machine, the times, every exit code and a
+sha256 over each command's stdout (the temporary directory's path replaced
+by ``<tmp>``) and the files it wrote, so two files compare outputs as well
+as times.
 
     PYTHONPATH=src python benchmarks/bench_cli.py [--out PATH]
 """
@@ -34,7 +37,7 @@ import tempfile
 from pathlib import Path
 
 from _harness import machine, summary, timed
-from ssdopt import cli
+from ssdopt import cli, hadamard_design
 
 STARTS = (
     (12, "auto"),
@@ -89,6 +92,12 @@ def main(argv: list[str] | None = None) -> int:
     build = getattr(cli._build_parser, "__wrapped__", cli._build_parser)
     times, _ = timed(build, REPEATS)
     commands = [{"name": "_build_parser()", "exit": None} | summary(times)]
+    for n, construction in STARTS:
+        times, design = timed(lambda: hadamard_design(n, construction), REPEATS)
+        digest = hashlib.sha256(design.entries.tobytes())
+        digest.update(",".join(design.label_names).encode("utf-8"))
+        commands.append({"name": f"hadamard_design({n}, {construction!r})", "exit": None}
+                        | summary(times) | {"sha256": digest.hexdigest()})
     with tempfile.TemporaryDirectory() as scratch:
         inputs, work = Path(scratch) / "inputs", Path(scratch) / "work"
         inputs.mkdir()

@@ -31,7 +31,7 @@ from .builder import (
     build_minus_one,
     build_single_parent,
 )
-from .core import DEFAULT_MAX_ORDER, ColumnLabel, drop_columns, hadamard_design
+from .core import DEFAULT_MAX_ORDER, ColumnLabel, SignMatrix, drop_columns, hadamard_design
 from .designio import (
     decimal_str,
     dump_json,
@@ -78,6 +78,14 @@ def _factor(flag: str, i: int, q: int) -> ColumnLabel:
     return ColumnLabel.main(i)
 
 
+def _kept(flag: str, label: ColumnLabel, removed: SignMatrix, dropper: str) -> ColumnLabel:
+    """``label``, given as ``flag``, unless ``dropper`` removed a factor it names."""
+    for k in (label.i, label.j):
+        if k in removed.factors[:, 0].tolist():
+            raise ValueError(f"{flag} names c{k}, which {dropper} removed")
+    return label
+
+
 def _summary_line(report) -> str:
     return (
         f"n={report.n} m={report.m} family={report.family.kind} "
@@ -94,15 +102,15 @@ def _cmd_generate(args) -> int:
     if args.parent is not None and args.family != SINGLE_PARENT:
         raise ValueError(f"--parent applies only to family {SINGLE_PARENT}")
     saturated = hadamard_design(args.n, args.construction, args.max_order)
+    q = saturated.cols
     if args.drop_cols is not None:
-        positions = [
-            saturated.label_position(_factor("--drop-cols", i, saturated.cols))
-            for i in args.drop_cols
-        ]
+        dropper = "--drop-cols " + ",".join(map(str, args.drop_cols))
+        positions = [saturated.label_position(_factor("--drop-cols", i, q))
+                     for i in args.drop_cols]
+    elif not 0 <= args.drop < q:
+        raise ValueError(f"--drop must be in 0..{q - 1}")
     else:
-        if not 0 <= args.drop < saturated.cols:
-            raise ValueError(f"--drop must be in 0..{saturated.cols - 1}")
-        positions = list(range(saturated.cols - args.drop, saturated.cols))
+        dropper, positions = f"--drop {args.drop}", list(range(q - args.drop, q))
     start, removed = drop_columns(saturated, positions)
 
     if args.family == FULL:
@@ -110,14 +118,16 @@ def _cmd_generate(args) -> int:
     elif args.family == MINUS_ONE:
         if args.delete is None:
             raise ValueError("--delete LABEL is required for family minus-one")
-        build = build_minus_one(start, ColumnLabel.parse(args.delete), removed)
+        delete = _kept(f"--delete {args.delete}", ColumnLabel.parse(args.delete), removed, dropper)
+        build = build_minus_one(start, delete, removed)
     elif args.family == INTERACTIONS_ONLY:
         build = build_interactions_only(start)
     else:
         if args.parent is None:
             raise ValueError("--parent I is required for family single-parent")
-        parent = start.label_position(_factor("--parent", args.parent, saturated.cols))
-        build = build_single_parent(start, parent, removed)
+        parent = _factor("--parent", args.parent, q)
+        parent = _kept(f"--parent {args.parent}", parent, removed, dropper)
+        build = build_single_parent(start, start.label_position(parent), removed)
 
     report = verdict(build)
     for claim in report.claims:

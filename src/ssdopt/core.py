@@ -7,10 +7,10 @@ parsed and user-facing form of one label. All arithmetic in this module is
 exact integer arithmetic; there is no floating point anywhere.
 
 A Hadamard matrix H is checked by H H^T = nI on the exact int64 row Gram,
-each entry n - 2 * popcount(r_i ^ r_j) of two rows' packed -1 bits. Each
-construction checks once: :func:`normalize` checks its input and marks its
-result, which only negates rows and columns, as Hadamard, so
-:func:`to_hadamard_design` reads the mark instead of checking again.
+each entry n - 2 * popcount(r_i ^ r_j) of two rows' packed -1 bits. A
+construction validates its raw +-1 matrix and checks H H^T = nI once each;
+the normalized and stripped matrices are derived without revalidation.
+:func:`normalize` and :func:`to_hadamard_design` check their own argument.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable
 
 import numpy as np
@@ -104,6 +104,11 @@ def _row_gram(entries: np.ndarray) -> np.ndarray:
     return m - 2 * gram
 
 
+def _main_factors(q: int) -> np.ndarray:
+    """The factor indices of the labels c1 ... cq."""
+    return np.column_stack([np.arange(1, q + 1), np.zeros(q, dtype=np.int64)])
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class SignMatrix:
     """Immutable two-level design matrix with labeled columns.
@@ -137,8 +142,7 @@ class SignMatrix:
     def with_main_labels(cls, entries) -> "SignMatrix":
         """Wrap an array, labeling its columns c1, c2, ... in order."""
         arr = np.asarray(entries)
-        q = arr.shape[1] if arr.ndim == 2 else 0
-        return cls(arr, np.column_stack([np.arange(1, q + 1), np.zeros(q, dtype=np.int64)]))
+        return cls(arr, _main_factors(arr.shape[1] if arr.ndim == 2 else 0))
 
     @cached_property
     def labels(self) -> tuple[ColumnLabel, ...]:
@@ -263,12 +267,6 @@ class SignMatrix:
         return balanced and self.gram_square_sum == q * n * n
 
     @cached_property
-    def _hadamard(self) -> bool:
-        """Whether the entries form a Hadamard matrix (:func:`_is_hadamard`),
-        checked once per instance; :func:`normalize` seeds it on its result."""
-        return _is_hadamard(self.entries)
-
-    @cached_property
     def augmented(self) -> "SignMatrix":
         """The columns followed by all C(q, 2) two-column interactions.
 
@@ -307,12 +305,7 @@ _NO_PAIRS = np.zeros(0, dtype=np.int64)
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for f in range(2, math.isqrt(p) + 1):
-        if p % f == 0:
-            return False
-    return True
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
 
 
 def _is_hadamard(entries: np.ndarray) -> bool:
@@ -332,10 +325,7 @@ def sylvester_hadamard(k: int, max_order: int = DEFAULT_MAX_ORDER) -> SignMatrix
     if n > max_order:
         raise ValueError(f"order {n} exceeds the configured maximum {max_order}")
     cell = np.array([[1, 1], [1, -1]], dtype=np.int8)
-    out = cell
-    for _ in range(k - 1):
-        out = np.kron(out, cell)
-    return SignMatrix.with_main_labels(out)
+    return SignMatrix.with_main_labels(reduce(np.kron, [cell] * k))
 
 
 def _quadratic_character(p: int) -> np.ndarray:
@@ -379,18 +369,20 @@ def paley_hadamard(p: int, max_order: int = DEFAULT_MAX_ORDER) -> SignMatrix:
 def normalize(matrix: SignMatrix) -> SignMatrix:
     """Equivalent Hadamard matrix whose first row and column are all +1.
 
-    Only negates rows and columns, so the result stays Hadamard and is
-    marked so, which spares :func:`to_hadamard_design` a second check.
-    Idempotent.
+    Only negates rows and columns of a valid matrix, so the result needs no
+    revalidation (:meth:`SignMatrix._selected`). Idempotent.
     """
-    if not matrix._hadamard:
+    if not _is_hadamard(matrix.entries):
         raise ValueError("input is not a Hadamard matrix")
-    e = matrix.entries.astype(np.int8).copy()
+    e = matrix.entries.copy()
     e[:, e[0] < 0] *= -1
     e[e[:, 0] < 0, :] *= -1
-    out = SignMatrix(e, matrix.factors)
-    out.__dict__["_hadamard"] = True
-    return out
+    return SignMatrix._selected(e, matrix.factors)
+
+
+def _stripped(matrix: SignMatrix) -> SignMatrix:
+    """A normalized Hadamard matrix without its all-ones column, relabeled c1 ... c(n-1)."""
+    return SignMatrix._selected(matrix.entries[:, 1:].copy(), _main_factors(matrix.cols - 1))
 
 
 def to_hadamard_design(matrix: SignMatrix) -> SignMatrix:
@@ -399,11 +391,11 @@ def to_hadamard_design(matrix: SignMatrix) -> SignMatrix:
     The result is a saturated OA(n, n-1, 2, 2) with columns labeled
     c1 ... c(n-1).
     """
-    if not matrix._hadamard:
+    if not _is_hadamard(matrix.entries):
         raise ValueError("input is not a Hadamard matrix")
     if not np.all(matrix.entries[:, 0] == 1):
         raise ValueError("first column is not all +1; normalize the matrix first")
-    return SignMatrix.with_main_labels(matrix.entries[:, 1:])
+    return _stripped(matrix)
 
 
 def hadamard_matrix(
@@ -418,10 +410,9 @@ def hadamard_matrix(
         raise ValueError(f"n must be a positive multiple of 4, got {n}")
     if n > max_order:
         raise ValueError(f"order {n} exceeds the configured maximum {max_order}")
-    paley_p = None
-    if _is_prime(n - 1) and (n - 1) % 4 == 3:
-        paley_p = n - 1
-    elif _is_prime(n // 2 - 1) and (n // 2 - 1) % 4 == 1:
+    # Type I: p = n - 1, which is 3 (mod 4) as 4 | n; type II: p = n/2 - 1 = 1 (mod 4).
+    paley_p = n - 1 if _is_prime(n - 1) else None
+    if paley_p is None and n % 8 == 4 and _is_prime(n // 2 - 1):
         paley_p = n // 2 - 1
     k = n.bit_length() - 1
     if construction == "paley":
@@ -443,9 +434,9 @@ def hadamard_matrix(
 def hadamard_design(
     n: int, construction: str = "auto", max_order: int = DEFAULT_MAX_ORDER
 ) -> SignMatrix:
-    """Saturated OA(n, n-1, 2, 2): a normalized order-n Hadamard matrix minus
-    its all-ones column."""
-    return to_hadamard_design(hadamard_matrix(n, construction, max_order))
+    """Saturated OA(n, n-1, 2, 2): the normalized order-n Hadamard matrix,
+    checked once by :func:`hadamard_matrix`, minus its all-ones column."""
+    return _stripped(hadamard_matrix(n, construction, max_order))
 
 
 def drop_columns(
@@ -462,10 +453,8 @@ def drop_columns(
     for i in idx:
         if not 0 <= i < design.cols:
             raise ValueError(f"column index {i} out of range for {design.cols} columns")
-    dropped = sorted(idx)
-    dropped_set = set(dropped)
-    keep = [c for c in range(design.cols) if c not in dropped_set]
-    return design.take(keep), design.take(dropped)
+    keep = sorted(set(range(design.cols)).difference(idx))
+    return design.take(keep), design.take(sorted(idx))
 
 
 def verify_oa_strength2(design: SignMatrix) -> bool:

@@ -139,6 +139,22 @@ class TestGenerate:
         assert (code, stdout) == (2, "") and not out.exists()
         assert stderr == f"error: {flag} must be in 1..11, got {args[-1].split(',')[-1]}\n"
 
+    @pytest.mark.parametrize("args, message", [
+        (["--family", "single-parent", "--drop", "2", "--parent", "11"],
+         "--parent 11 names c11, which --drop 2 removed"),
+        (["--drop-cols", "3", "--family", "single-parent", "--parent", "3"],
+         "--parent 3 names c3, which --drop-cols 3 removed"),
+        (["--drop-cols", "3", "--family", "minus-one", "--delete", "c3"],
+         "--delete c3 names c3, which --drop-cols 3 removed"),
+        (["--drop", "1", "--family", "minus-one", "--delete", "c1*c11"],
+         "--delete c1*c11 names c11, which --drop 1 removed"),
+    ], ids=["parent-drop", "parent-drop-cols", "delete-drop-cols", "delete-interaction-drop"])
+    def test_factor_a_drop_removed_exits_2(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(["generate", "--n", "12", *args, "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert stderr == f"error: {message}\n"
+
     def test_family_choices_are_the_family_table(self):
         sub = next(
             a for a in _build_parser()._actions

@@ -243,23 +243,27 @@ class TestNormalize:
             normalize(bad)
 
 
-def _constructed_hadamard_matrices():
-    """Every Hadamard matrix of order at most 64 a construction reaches."""
-    for n, construction in itertools.product(range(4, 65, 4), ("sylvester", "paley")):
+def _constructions(names=("sylvester", "paley")):
+    """Every (order, construction) of order at most 64 that a construction
+    in ``names`` reaches."""
+    for n, construction in itertools.product(range(4, 65, 4), names):
         try:
-            yield hadamard_matrix(n, construction)
+            hadamard_matrix(n, construction)
         except ValueError:
-            pass
+            continue
+        yield n, construction
 
 
 class TestHadamardCheck:
     @pytest.mark.parametrize(
-        "matrix", list(_constructed_hadamard_matrices()),
+        "matrix", [hadamard_matrix(n, c) for n, c in _constructions()],
         ids=lambda m: f"n{m.rows}",
     )
     def test_popcount_check_equals_int64_product(self, matrix):
         """_is_hadamard agrees with H H^T == nI in int64 on each constructed
-        matrix and on it with any one entry flipped."""
+        matrix and on it with any one entry flipped, which normalize and
+        to_hadamard_design reject, as to_hadamard_design rejects the matrix
+        with its first column negated."""
         n, entries = matrix.rows, matrix.entries
 
         def reference(entries):
@@ -272,13 +276,35 @@ class TestHadamardCheck:
             flipped = entries.copy()
             flipped[r, c] *= -1
             assert ssdopt.core._is_hadamard(flipped) is reference(flipped) is False
+            for convert in (normalize, to_hadamard_design):
+                with pytest.raises(ValueError, match="not a Hadamard matrix"):
+                    convert(SignMatrix(flipped, matrix.factors))
+        unnormalized = entries.copy()
+        unnormalized[:, 0] *= -1
+        with pytest.raises(ValueError, match="normalize the matrix first"):
+            to_hadamard_design(SignMatrix(unnormalized, matrix.factors))
 
     @pytest.mark.parametrize("n", [12, 16, 64])
     def test_hadamard_design_checks_once(self, n, monkeypatch):
+        """One Hadamard check and one SignMatrix validation, of the raw
+        construction, per hadamard_design call."""
         calls, real = [], ssdopt.core._is_hadamard
         monkeypatch.setattr(ssdopt.core, "_is_hadamard", lambda e: calls.append(e) or real(e))
+        inits, init = [], SignMatrix.__init__
+        monkeypatch.setattr(
+            SignMatrix, "__init__", lambda self, *a: inits.append(a) or init(self, *a)
+        )
         hadamard_design(n)
-        assert len(calls) == 1
+        assert len(calls) == len(inits) == 1
+
+    @pytest.mark.parametrize("n, construction", _constructions(("auto", "sylvester", "paley")))
+    def test_hadamard_design_is_the_stripped_matrix(self, n, construction):
+        design = hadamard_design(n, construction)
+        expected = to_hadamard_design(hadamard_matrix(n, construction))
+        assert np.array_equal(design.entries, expected.entries)
+        assert design.entries.dtype == expected.entries.dtype == np.int8
+        assert design.label_names == expected.label_names
+        assert design.label_names == tuple(f"c{i}" for i in range(1, n))
 
     def test_to_hadamard_design_rejects_non_hadamard(self):
         entries = sylvester_hadamard(3).entries.copy()
