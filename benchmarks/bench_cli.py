@@ -8,7 +8,9 @@ Times ``ssdopt.cli.main(argv)`` with its stdout captured:
   its sidecar and the report into a temporary directory;
 * ``evaluate`` on the n = 12 full design and on the n = 64 single-parent
   design (m = 125), both written by ``generate`` before the clock starts.
-  The n = 64 full design (m = 2016) is left out: evaluate's GWP is cubic in m;
+  The n = 64 full design (m = 2016) is left out: evaluate's GWP costs
+  O(m^2 * distinct row distances) comb terms, minutes at m = 2016 with two
+  distances;
 * ``verify-lemmas`` and ``verify-theorems`` at the CLI defaults;
 * building the argument parser alone, uncached (``_build_parser``);
 * the Hadamard-construction layer alone: ``hadamard_design(n, construction)``

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification failure (under verify-theorems, a
 build that disagrees with a claim of its cell), 2 usage or input error,
 3 certification failure (the exact E(s^2) routes of a verdict disagree, the
-value falls below the lower bound, or under generate the build disagrees
-with a claim of its cell).
+value falls below the lower bound, under generate the build disagrees with a
+claim of its cell, or under evaluate the design's E(s^2) disagrees with its
+A_2).
 All commands are deterministic; identical invocations produce identical bytes.
 :func:`main` may be called any number of times in one process: the argument
 parser is built on the first call and reused, since parsing leaves no state

@@ -235,6 +235,10 @@ def evaluate_report(design: SignMatrix) -> dict:
     E(s^2)-versus-bound core is present whenever
     the bound applies (balanced, n = 0 mod 4, at least two columns, and m
     admits a decomposition); otherwise it is null with a reason.
+
+    With at least two columns, E(s^2) from the row Gram is checked against
+    the GWP: the squared off-diagonal entries of X^T X total 2 n^2 A_2, so
+    E(s^2) = 2 n^2 A_2 / (m (m - 1)); a disagreement raises ArithmeticError.
     """
     n, m = design.rows, design.cols
     balanced = bool(np.all(design.entries.sum(axis=0) == 0))
@@ -253,6 +257,11 @@ def evaluate_report(design: SignMatrix) -> dict:
         out["es2_report_skipped"] = "fewer than two columns"
         return out
     es2 = es2_direct(design)
+    via_gwp = Fraction(2 * n * n, m * (m - 1)) * gwp[2]
+    if es2 != via_gwp:
+        raise ArithmeticError(
+            f"E(s^2) = {es2} from the row Gram, but 2n^2 A_2 / (m(m-1)) = {via_gwp}"
+        )
     out["es2"] = fraction_json(es2)
     if not balanced or n % 4 != 0:
         out["es2_report_skipped"] = "bound applies to balanced designs with n = 0 (mod 4)"

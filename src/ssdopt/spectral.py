@@ -18,6 +18,11 @@ which enumerates the missing ones as one batch per order and fixed-set size;
 the plain and filtered sums are one-key requests. The half-fraction d of a
 column triple comes from J_3 on the same packed bits (:func:`d_from_words`).
 
+The GWP sums the Krawtchouk transform in exact integers over the row
+distances that occur (:func:`gwp_via_krawtchouk`): O(q^2) comb terms per
+distinct distance, one rational per order. ``evaluate`` checks its A_2
+against E(s^2) (:func:`designio.evaluate_report`).
+
 J sums are exact integers; distributions and wordlength patterns are exact
 rationals.
 """
@@ -107,17 +112,19 @@ class GwpVector:
 
 
 def gwp_via_krawtchouk(design: SignMatrix) -> GwpVector:
-    """GWP from the distance distribution: A_i = (1/n) sum_j P_i(j;q) E_j."""
+    """GWP from the distance distribution: A_i = (1/n) sum_j P_i(j;q) E_j.
+
+    With c_j = n E_j the integer count of ordered row pairs at distance j,
+    A_i = (sum_j P_i(j;q) c_j) / n^2: an integer sum over the distances that
+    occur (c_j != 0), and one rational per order.
+    """
     n, q = design.rows, design.cols
     dist = distance_distribution(design)
-    values = []
-    for i in range(1, q + 1):
-        acc = sum(
-            (Fraction(krawtchouk(i, j, q)) * dist.E[j] for j in range(q + 1)),
-            start=Fraction(0),
-        )
-        values.append(acc / n)
-    return GwpVector(tuple(values))
+    occurring = [(j, int(e * n)) for j, e in enumerate(dist.E) if e]
+    return GwpVector(tuple(
+        Fraction(sum(krawtchouk(i, j, q) * c for j, c in occurring), n * n)
+        for i in range(1, q + 1)
+    ))
 
 
 #: Subsets per numpy pass; it bounds the size of the kernel's temporary arrays.

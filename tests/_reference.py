@@ -4,15 +4,23 @@ strength-2 count loop, the J-characteristic of one column subset, the
 bit-by-bit negative masks, the full augmentation rebuilt one
 ``interaction_column`` at a time, the unrolled pure-Python loops over
 integer bitmasks for the squared-J sums, the row-by-row design CSV writer,
-and the aliased pairs as the list of JSON records the stdlib's
-``json.dumps`` encodes."""
+the aliased pairs as the list of JSON records the stdlib's
+``json.dumps`` encodes, and the GWP as the Krawtchouk transform over every
+distance 0..q with one rational product per term."""
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from ssdopt import AliasedPairs, ColumnLabel, SignMatrix
+from ssdopt import (
+    AliasedPairs,
+    ColumnLabel,
+    GwpVector,
+    SignMatrix,
+    distance_distribution,
+    krawtchouk,
+)
 
 
 def es2_column_gram(design: SignMatrix) -> Fraction:
@@ -193,3 +201,18 @@ def design_csv_text_loop(design: SignMatrix) -> str:
     for row in design.entries:
         lines.append(",".join("+1" if v > 0 else "-1" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def gwp_all_distances(design: SignMatrix) -> GwpVector:
+    """A_i = (1/n) sum_j P_i(j;q) E_j summed over every distance j = 0..q,
+    zero counts included, with one Fraction product per (i, j) term."""
+    n, q = design.rows, design.cols
+    dist = distance_distribution(design)
+    values = []
+    for i in range(1, q + 1):
+        acc = sum(
+            (Fraction(krawtchouk(i, j, q)) * dist.E[j] for j in range(q + 1)),
+            start=Fraction(0),
+        )
+        values.append(acc / n)
+    return GwpVector(tuple(values))

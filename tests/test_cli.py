@@ -244,13 +244,17 @@ class TestEvaluate:
             raise AssertionError("SignMatrix.gram was called")
 
         monkeypatch.setattr(SignMatrix, "gram", refuse)
-        # The Krawtchouk GWP is cubic in m (minutes at m = 2016) and reads
-        # only the row Gram, so it is stubbed to keep this test fast.
-        monkeypatch.setattr(
-            ssdopt.designio,
-            "gwp_via_krawtchouk",
-            lambda design: GwpVector((Fraction(0),) * design.cols),
-        )
+        # The Krawtchouk GWP costs O(m^2 * distinct row distances) comb terms
+        # (minutes at m = 2016, with two distances) and reads only the row
+        # Gram, so it is stubbed to keep this test fast. The stub's A_2 is the
+        # one evaluate's E(s^2) cross-check expects: the squared off-diagonal
+        # total of X^T X over 2 n^2.
+        def stub(design):
+            n, m = design.rows, design.cols
+            a2 = Fraction(design.gram_square_sum - m * n * n, 2 * n * n)
+            return GwpVector((Fraction(0), a2) + (Fraction(0),) * (m - 2))
+
+        monkeypatch.setattr(ssdopt.designio, "gwp_via_krawtchouk", stub)
         out = tmp_path / "d.csv"
         argv = ["generate", "--n", "64", "--family", "full", "--out", str(out)]
         assert run(argv, capsys)[0] == 0
@@ -421,6 +425,26 @@ class TestCertificationFailure:
         assert stderr == (
             "error: certification failed: "
             "inner-product and J-characteristic routes disagree\n"
+        )
+
+    def test_evaluate_with_a_corrupt_a2_exits_3(self, tmp_path, capsys, monkeypatch):
+        """E(s^2) from the row Gram disagrees with 2 n^2 A_2 / (m(m-1)) from a
+        GWP whose A_2 is off by one, and evaluate exits 3 before writing."""
+        design = tmp_path / "d.csv"
+        assert run(["generate", "--n", "12", "--out", str(design)], capsys)[0] == 0
+        gwp = ssdopt.designio.gwp_via_krawtchouk
+
+        def corrupt(design):
+            values = gwp(design).values
+            return GwpVector((values[0], values[1] + 1, *values[2:]))
+
+        monkeypatch.setattr(ssdopt.designio, "gwp_via_krawtchouk", corrupt)
+        report = tmp_path / "e.json"
+        code, stdout, stderr = run(["evaluate", str(design), "--report", str(report)], capsys)
+        assert code == 3 and stdout == "" and not report.exists()
+        assert stderr == (
+            "error: certification failed: E(s^2) = 144/13 from the row Gram, "
+            "but 2n^2 A_2 / (m(m-1)) = 7968/715\n"
         )
 
     def test_corrupt_anchored_tally_exits_3(self, capsys, monkeypatch):

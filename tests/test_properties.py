@@ -5,7 +5,7 @@ every family's verdict on equivalent Hadamard starts against its theorem cell,
 and both lemmas' items (and their d) on equivalent saturated designs.
 
 Run counts include ones that are not a multiple of 8 and ones above 64, and
-the designs carry planted duplicate and negated columns."""
+the designs carry planted duplicate and negated columns or repeated rows."""
 
 import functools
 import itertools
@@ -54,6 +54,7 @@ from _reference import (
     design_csv_text_loop,
     es2_column_gram,
     full_augmentation_rebuilt,
+    gwp_all_distances,
     j_characteristic,
     neg_masks_loop,
     oa_strength2_loop,
@@ -87,6 +88,16 @@ def random_designs(draw, min_cols=1, max_cols=40):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     entries = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, m))
     return SignMatrix.with_main_labels(_plant(draw, entries))
+
+
+@st.composite
+def repeated_row_designs(draw):
+    """Random +-1 designs of at most 12 columns and any run count, with
+    unbalanced columns and rows drawn from a pool that may repeat them."""
+    n, m = draw(st.integers(1, 140)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice(np.array([-1, 1], dtype=np.int8), size=(draw(st.integers(1, n)), m))
+    return SignMatrix.with_main_labels(pool[rng.integers(0, len(pool), size=n)])
 
 
 @st.composite
@@ -467,11 +478,20 @@ def test_packed_row_gram_equals_int64_matmul(design):
     assert np.array_equal(design.row_gram(), wide @ wide.T)
 
 
-@given(random_designs(max_cols=8))
+@given(st.one_of(random_designs(max_cols=12), repeated_row_designs()))
+@example(SignMatrix.with_main_labels(np.ones((6, 12), dtype=np.int8)))
+@example(hadamard_design(12))
+@example(SignMatrix.with_main_labels(hadamard_design(12).entries[:, :10]))
 def test_every_order_matches_krawtchouk_route(design):
-    n, gwp = design.rows, gwp_via_krawtchouk(design)
-    for s in range(1, design.cols + 1):
-        assert n * n * gwp[s] == sum_j_squared(design, s)
+    # The GWP over the occurring distances equals the sum over all of them,
+    # n^2 A_s is the exhaustive J sum of every order, and A_2 gives E(s^2).
+    n, m, gwp = design.rows, design.cols, gwp_via_krawtchouk(design)
+    assert gwp.values == gwp_all_distances(design).values
+    if m >= 2:
+        assert es2_direct(design) == 2 * n * n * gwp[2] / (m * (m - 1))
+    if m <= 10:
+        for s in range(1, m + 1):
+            assert n * n * gwp[s] == sum_j_squared(design, s)
 
 
 @given(designs)
