@@ -1,7 +1,8 @@
 """Sign matrices, Hadamard constructions, and orthogonal-array checks.
 
-Every design is carried by a :class:`SignMatrix`: an immutable n x q array
-with entries +1/-1 and one distinct label per column, held as a pair of
+Every design is carried by a :class:`SignMatrix`: an immutable n x q +1/-1
+array stored as its columns' packed -1 bits, from which the entries are
+derived when read, and one distinct label per column, held as a pair of
 factor indices (:attr:`SignMatrix.factors`); :class:`ColumnLabel` is the
 parsed and user-facing form of one label. All arithmetic in this module is
 exact integer arithmetic; there is no floating point anywhere.
@@ -109,16 +110,27 @@ def _main_factors(q: int) -> np.ndarray:
     return np.column_stack([np.arange(1, q + 1), np.zeros(q, dtype=np.int64)])
 
 
+def _first_row_positive(words: np.ndarray, rows: int) -> np.ndarray:
+    """Packed columns of ``rows`` runs, each negated (XOR-ed with the all-rows
+    mask) where its row-0 bit is set, so that every column reads +1 in row 0."""
+    mask = np.frombuffer(((1 << rows) - 1).to_bytes(8 * words.shape[1], "little"), np.uint64)
+    return words ^ (words[:, :1] & 1) * mask
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class SignMatrix:
     """Immutable two-level design matrix with labeled columns.
 
-    Column c's label is row c of ``factors``, a read-only (m, 2) int64 array
-    of factor indices: (i, 0) for ci, (i, j) with i < j for ci*cj. ``labels``
-    are :class:`ColumnLabel` objects or such an array of valid indices.
+    Row c of ``neg_words``, a read-only (m, ceil(n/64)) uint64 array, holds
+    column c's -1 bits (bit r for run r, zero-padded to whole words), so a
+    product of columns is the XOR of their rows; ``entries`` is derived from
+    it when read. Column c's label is row c of ``factors``, a read-only (m, 2)
+    int64 array of factor indices: (i, 0) for ci, (i, j) with i < j for ci*cj.
+    ``labels`` are :class:`ColumnLabel` objects or such an array of valid indices.
     """
 
-    entries: np.ndarray
+    rows: int
+    neg_words: np.ndarray
     factors: np.ndarray
 
     def __init__(self, entries, labels) -> None:
@@ -134,15 +146,24 @@ class SignMatrix:
             raise ValueError(f"{arr.shape[1]} columns but {len(factors)} labels")
         if len(set(zip(*factors.T.tolist()))) != len(factors):
             raise ValueError("column labels must be pairwise distinct")
-        for name, value in (("entries", arr.astype(np.int8)), ("factors", factors)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        words = _packed_rows(np.ascontiguousarray((arr < 0).T))
+        words.flags.writeable = factors.flags.writeable = False
+        vars(self).update(rows=arr.shape[0], neg_words=words, factors=factors)
 
     @classmethod
     def with_main_labels(cls, entries) -> "SignMatrix":
         """Wrap an array, labeling its columns c1, c2, ... in order."""
         arr = np.asarray(entries)
         return cls(arr, _main_factors(arr.shape[1] if arr.ndim == 2 else 0))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The n x m int8 +1/-1 array, read-only, unpacked from :attr:`neg_words`."""
+        # Unpacked along axis 0 of the transposed bytes: C-ordered, so rows pack fast.
+        packed = self.neg_words.view(np.uint8).T.copy()
+        out = 1 - 2 * np.unpackbits(packed, 0, self.rows, "little").view(np.int8)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def labels(self) -> tuple[ColumnLabel, ...]:
@@ -158,12 +179,14 @@ class SignMatrix:
         return tuple([text[a] + "*" + text[b] if b else text[a] for a, b in zip(i, j)])
 
     @property
-    def rows(self) -> int:
-        return int(self.entries.shape[0])
+    def cols(self) -> int:
+        return len(self.factors)
 
     @property
-    def cols(self) -> int:
-        return int(self.entries.shape[1])
+    def is_balanced(self) -> bool:
+        """Whether every column has as many -1 as +1 entries: 2 * popcount = n."""
+        counts = np.bitwise_count(self.neg_words).sum(axis=1, dtype=np.int64)
+        return bool(np.all(2 * counts == self.rows))
 
     def column(self, pos: int) -> np.ndarray:
         return self.entries[:, pos]
@@ -185,36 +208,33 @@ class SignMatrix:
         return wide.T @ wide
 
     @staticmethod
-    def _selected(entries: np.ndarray, factors: np.ndarray) -> "SignMatrix":
-        """Columns selected from a valid design, which need no revalidation:
+    def _selected(rows: int, words: np.ndarray, factors: np.ndarray) -> "SignMatrix":
+        """Columns derived from a valid design, which need no revalidation:
         made read-only and wrapped as they are."""
         out = object.__new__(SignMatrix)
-        for name, value in (("entries", entries), ("factors", factors)):
-            value.flags.writeable = False
-            object.__setattr__(out, name, value)
+        words.flags.writeable = factors.flags.writeable = False
+        vars(out).update(rows=rows, neg_words=words, factors=factors)
         return out
 
     def take(self, positions) -> "SignMatrix":
         """The columns at ``positions`` (distinct, in range), in that order,
         unvalidated (:meth:`_selected`), carrying the columns' labels."""
-        return self._selected(self.entries[:, positions], self.factors[positions])
+        return self._selected(self.rows, self.neg_words[positions], self.factors[positions])
 
     def without(self, pos: int) -> "SignMatrix":
-        """This design without the column at ``pos``, unvalidated (:meth:`_selected`).
+        """This design without the column at ``pos``, unvalidated (:meth:`_selected`):
+        one word row and one factor row deleted.
 
         Its squared Gram total is seeded with the exact downdate G - 2 |X^T x|^2
         + n^2 of column x, whose inner products X^T x take one popcount pass of
-        x's packed bits against every column's (:attr:`neg_words`), so no row
-        Gram is recomputed.
+        x's word row against every column's, so no row Gram is recomputed.
         """
         if not 0 <= pos < self.cols:
             raise ValueError(f"column index {pos} out of range for {self.cols} columns")
         n, words = self.rows, self.neg_words
         inner = n - 2 * np.bitwise_count(words ^ words[pos]).sum(axis=1, dtype=np.int64)
-        out = self._selected(
-            np.concatenate([self.entries[:, :pos], self.entries[:, pos + 1 :]], axis=1),
-            np.concatenate([self.factors[:pos], self.factors[pos + 1 :]]),
-        )
+        rest = [np.concatenate([a[:pos], a[pos + 1 :]]) for a in (words, self.factors)]
+        out = self._selected(n, *rest)
         out.__dict__["gram_square_sum"] = (
             self.gram_square_sum - 2 * int(inner @ inner) + n * n
         )
@@ -235,19 +255,6 @@ class SignMatrix:
         return int(np.sum(g * g))
 
     @cached_property
-    def neg_words(self) -> np.ndarray:
-        """Per-column -1 bits as a read-only (q, ceil(n/64)) uint64 array.
-
-        Bit r of row c is set when entry (r, c) equals -1, zero-padded to whole
-        64-bit words. The entrywise product of a column subset then corresponds
-        to the XOR of their rows, so the exhaustive J kernel XORs and popcounts
-        rows for any run count.
-        """
-        words = _packed_rows(np.ascontiguousarray((self.entries < 0).T))
-        words.flags.writeable = False
-        return words
-
-    @cached_property
     def j_squared_sums(self) -> dict:
         """Memo of the squared-J sums of :func:`ssdopt.spectral.filtered_sums`,
         its only reader and writer; each is enumerated once per instance."""
@@ -263,8 +270,7 @@ class SignMatrix:
         # diagonal alone, so every g_ij vanishes iff that is the whole sum.
         if q < 2:
             return True
-        balanced = not np.any(self.entries.sum(axis=0, dtype=np.int64))
-        return balanced and self.gram_square_sum == q * n * n
+        return self.is_balanced and self.gram_square_sum == q * n * n
 
     @cached_property
     def augmented(self) -> "SignMatrix":
@@ -277,10 +283,10 @@ class SignMatrix:
         if self.cols > 1 and self.factors[:, 1].any():
             raise ValueError("interactions of interaction columns are not supported")
         left, right = np.triu_indices(self.cols, k=1)
-        block = self.entries[:, left] * self.entries[:, right]
+        words = np.vstack([self.neg_words, self.neg_words[left] ^ self.neg_words[right]])
         a, b = self.factors[left, 0], self.factors[right, 0]
         pairs = np.column_stack([np.minimum(a, b), np.maximum(a, b)])
-        return self._selected(np.hstack([self.entries, block]), np.vstack([self.factors, pairs]))
+        return self._selected(self.rows, words, np.vstack([self.factors, pairs]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,15 +380,14 @@ def normalize(matrix: SignMatrix) -> SignMatrix:
     """
     if not _is_hadamard(matrix.entries):
         raise ValueError("input is not a Hadamard matrix")
-    e = matrix.entries.copy()
-    e[:, e[0] < 0] *= -1
-    e[e[:, 0] < 0, :] *= -1
-    return SignMatrix._selected(e, matrix.factors)
+    # Negating the rows where column 0 reads -1 XORs every column with column 0.
+    words = _first_row_positive(matrix.neg_words, matrix.rows)
+    return SignMatrix._selected(matrix.rows, words ^ words[0], matrix.factors)
 
 
 def _stripped(matrix: SignMatrix) -> SignMatrix:
     """A normalized Hadamard matrix without its all-ones column, relabeled c1 ... c(n-1)."""
-    return SignMatrix._selected(matrix.entries[:, 1:].copy(), _main_factors(matrix.cols - 1))
+    return SignMatrix._selected(matrix.rows, matrix.neg_words[1:], _main_factors(matrix.cols - 1))
 
 
 def to_hadamard_design(matrix: SignMatrix) -> SignMatrix:
@@ -393,7 +398,7 @@ def to_hadamard_design(matrix: SignMatrix) -> SignMatrix:
     """
     if not _is_hadamard(matrix.entries):
         raise ValueError("input is not a Hadamard matrix")
-    if not np.all(matrix.entries[:, 0] == 1):
+    if matrix.neg_words[0].any():
         raise ValueError("first column is not all +1; normalize the matrix first")
     return _stripped(matrix)
 
@@ -462,9 +467,9 @@ def verify_oa_strength2(design: SignMatrix) -> bool:
 
     This is the literal strength-2 condition. It holds exactly when every
     column is balanced and every pair of columns is orthogonal, which the
-    flag reads off the column sums and the squared row Gram (no q x q Gram
-    is formed); it implies n = 0 (mod 4). A design with fewer than two
-    columns passes. The flag is computed once per design instance.
+    flag reads off :attr:`SignMatrix.is_balanced` and the squared row Gram
+    (no q x q Gram is formed); it implies n = 0 (mod 4). A design with fewer
+    than two columns passes. The flag is computed once per design instance.
     """
     return design.is_oa_strength2
 
@@ -477,8 +482,8 @@ def aliasing_report(design: SignMatrix) -> AliasedPairs:
     and their inner product is then n times the product of their row-0 signs.
     An empty result certifies that every pair is only partially aliased.
     """
-    # Bit r of a column's key is set where its canonical form has -1 in row r.
-    keys = _packed_rows(np.ascontiguousarray((design.entries != design.entries[0]).T))
+    # A column's key is its canonical form's word row.
+    keys = _first_row_positive(design.neg_words, design.rows)
     # A stable sort lists each group of equal keys in increasing column order.
     order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
@@ -496,5 +501,5 @@ def aliasing_report(design: SignMatrix) -> AliasedPairs:
     # Pairs sharing i are consecutive with j increasing, so sorting by i suffices.
     by_i = np.argsort(i, kind="stable")
     i, j = i[by_i], j[by_i]
-    signs = design.entries[0].astype(np.int64)
+    signs = 1 - 2 * (design.neg_words[:, 0] & 1).astype(np.int64)
     return AliasedPairs(i, j, design.rows * signs[i] * signs[j], design.label_names)

@@ -241,7 +241,7 @@ def evaluate_report(design: SignMatrix) -> dict:
     E(s^2) = 2 n^2 A_2 / (m (m - 1)); a disagreement raises ArithmeticError.
     """
     n, m = design.rows, design.cols
-    balanced = bool(np.all(design.entries.sum(axis=0) == 0))
+    balanced = design.is_balanced
     gwp = gwp_via_krawtchouk(design)
     aliased = aliasing_report(design)
     out = {

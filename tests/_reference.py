@@ -5,8 +5,10 @@ bit-by-bit negative masks, the full augmentation rebuilt one
 ``interaction_column`` at a time, the unrolled pure-Python loops over
 integer bitmasks for the squared-J sums, the row-by-row design CSV writer,
 the aliased pairs as the list of JSON records the stdlib's
-``json.dumps`` encodes, and the GWP as the Krawtchouk transform over every
-distance 0..q with one rational product per term."""
+``json.dumps`` encodes, the GWP as the Krawtchouk transform over every
+distance 0..q with one rational product per term, and the int8 routes of
+the augmentation (column products), one column's deletion (concatenation)
+and Hadamard normalization (row and column negation)."""
 
 import itertools
 from fractions import Fraction
@@ -216,3 +218,24 @@ def gwp_all_distances(design: SignMatrix) -> GwpVector:
         )
         values.append(acc / n)
     return GwpVector(tuple(values))
+
+
+def augmented_by_products(entries: np.ndarray) -> np.ndarray:
+    """The full augmentation's entries as int8 products: every column, then
+    the product of each column pair in lexicographic position order."""
+    left, right = np.triu_indices(entries.shape[1], k=1)
+    return np.hstack([entries, entries[:, left] * entries[:, right]])
+
+
+def without_by_concatenation(entries: np.ndarray, pos: int) -> np.ndarray:
+    """The entries without column ``pos``, the columns either side concatenated."""
+    return np.concatenate([entries[:, :pos], entries[:, pos + 1 :]], axis=1)
+
+
+def normalize_int8(entries: np.ndarray) -> np.ndarray:
+    """A Hadamard matrix's entries with the columns negated where row 0 is -1,
+    then the rows negated where column 0 is -1."""
+    e = entries.copy()
+    e[:, e[0] < 0] *= -1
+    e[e[:, 0] < 0, :] *= -1
+    return e

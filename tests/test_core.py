@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ssdopt import (
     SignMatrix,
     aliasing_report,
     build_full,
+    build_minus_one,
     drop_columns,
     hadamard_design,
     hadamard_matrix,
@@ -16,6 +18,7 @@ from ssdopt import (
     paley_hadamard,
     sylvester_hadamard,
     to_hadamard_design,
+    verdict,
     verify_oa_strength2,
 )
 
@@ -175,6 +178,26 @@ class TestWithout:
     def test_rejects_a_position_out_of_range(self, pos):
         with pytest.raises(ValueError, match="out of range for 11 columns"):
             hadamard_design(12).without(pos)
+
+    def test_allocates_less_than_an_entry_array(self):
+        """With the parent's squared Gram total warm, a deletion at n = 64 full
+        (m = 2016) allocates less than one byte per entry: no n x m copy."""
+        full = build_full(hadamard_design(64)).design
+        full.gram_square_sum
+        tracemalloc.start()
+        try:
+            full.without(100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full.rows * full.cols == 129_024
+
+    @pytest.mark.parametrize("n", [12, 64])
+    @pytest.mark.parametrize("delete", [ColumnLabel.main(3), ColumnLabel.interaction(1, 2)])
+    def test_a_minus_one_verdict_never_unpacks_its_design(self, n, delete):
+        build = build_minus_one(hadamard_design(n), delete)
+        verdict(build)
+        assert "entries" not in build.design.__dict__
 
 
 class TestSylvester:

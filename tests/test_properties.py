@@ -38,7 +38,9 @@ from ssdopt import (
     filtered_sums,
     gwp_via_krawtchouk,
     hadamard_design,
+    hadamard_matrix,
     json_text,
+    normalize,
     parse_design_csv,
     sum_j_squared,
     sum_j_squared_filtered,
@@ -51,16 +53,19 @@ from ssdopt.verify import _LEMMA1, _LEMMA2, _verify_items
 from _reference import (
     aliased_records,
     aliasing_scan,
+    augmented_by_products,
     design_csv_text_loop,
     es2_column_gram,
     full_augmentation_rebuilt,
     gwp_all_distances,
     j_characteristic,
     neg_masks_loop,
+    normalize_int8,
     oa_strength2_loop,
     pair_columns,
     sum_j_squared_loop,
     sum_over_extensions_loop,
+    without_by_concatenation,
 )
 from _texts import assert_same_text
 
@@ -141,6 +146,54 @@ def test_vectorised_strength2_equals_pair_counts(design):
 def test_packed_neg_masks_equal_bit_loop(design):
     masks = tuple(int.from_bytes(row.tobytes(), "little") for row in design.neg_words)
     assert masks == neg_masks_loop(design)
+
+
+@st.composite
+def sign_arrays(draw, max_cols=12):
+    """Random +-1 int8 arrays of 1..140 runs, so one, two and three words per
+    column, with planted duplicate and negated columns."""
+    n = draw(st.one_of(st.integers(1, 64), st.integers(65, 128), st.integers(129, 140)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, max_cols))
+    return _plant(draw, rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, m)))
+
+
+@given(sign_arrays(), st.integers(0, 2**32 - 1))
+@example(-np.ones((130, 3), dtype=np.int8), 0)
+@example(np.ones((64, 2), dtype=np.int8), 1)
+@example(hadamard_design(12).entries[:, :5].copy(), 2)
+def test_word_routes_equal_the_int8_references(entries, seed):
+    """The entries unpacked from the stored words round-trip, read-only, and
+    the word-level augmentation, selection, deletion and balance test give
+    what the int8 routes give."""
+    m = entries.shape[1]
+    design = SignMatrix(entries, [ColumnLabel.main(c + 1) for c in range(m)])
+    assert design.entries.dtype == np.int8 and np.array_equal(design.entries, entries)
+    assert not design.entries.flags.writeable
+    assert design.is_balanced == (not entries.sum(axis=0, dtype=np.int64).any())
+    augmented = design.augmented.entries
+    assert augmented.dtype == np.int8
+    assert np.array_equal(augmented, augmented_by_products(entries))
+    rng = np.random.default_rng(seed)
+    positions = rng.permutation(m)[: rng.integers(0, m + 1)]
+    assert np.array_equal(design.take(positions).entries, entries[:, positions])
+    pos = int(rng.integers(0, m))
+    without = design.without(pos).entries
+    assert without.dtype == np.int8 and not without.flags.writeable
+    assert np.array_equal(without, without_by_concatenation(entries, pos))
+
+
+@given(st.sampled_from(HADAMARD_ORDERS), st.integers(0, 2**32 - 1))
+def test_word_normalize_equals_the_int8_route(n, seed):
+    """normalize on a Hadamard matrix with its rows permuted and its rows and
+    columns negated at random gives the int8 route's entries."""
+    rng = np.random.default_rng(seed)
+    signs = np.array([-1, 1], dtype=np.int8)
+    entries = hadamard_matrix(n).entries[rng.permutation(n)]
+    entries = entries * rng.choice(signs, size=(n, 1)) * rng.choice(signs, size=n)
+    normalized = normalize(SignMatrix.with_main_labels(entries)).entries
+    assert normalized.dtype == np.int8 and not normalized.flags.writeable
+    assert np.array_equal(normalized, normalize_int8(entries))
 
 
 @st.composite
